@@ -13,11 +13,16 @@ from benchmarks.conftest import run_once
 from repro.harness.experiments import pmbench_processes
 from repro.harness.reporting import format_table
 from repro.harness.runner import run_experiment
-from repro.vm.fault import FaultBatch
+from repro.vm.fault import FleetFaultBatch
 
 
 class CitRecorder:
-    """Wraps a Chrono policy's fault hook to log (vpn, CIT) samples."""
+    """Wraps a Chrono policy's fault hook to log (vpn, CIT) samples.
+
+    The kernel hands every quantum's faults to ``on_fault_fleet``; the
+    recorder logs each process's segment of the batch (the run has one
+    process, so vpns index one address space).
+    """
 
     def __init__(self, policy):
         self.policy = policy
@@ -27,16 +32,18 @@ class CitRecorder:
     def attach(self, n_pages):
         self.sum_cit = np.zeros(n_pages)
         self.count = np.zeros(n_pages)
-        original = self.policy.on_fault
+        original = self.policy.on_fault_fleet
 
-        def wrapped(process, batch: FaultBatch):
-            valid = batch.cit_ns >= 0
-            np.add.at(self.sum_cit, batch.vpns[valid],
-                      batch.cit_ns[valid])
-            np.add.at(self.count, batch.vpns[valid], 1.0)
-            original(process, batch)
+        def wrapped(fleet: FleetFaultBatch):
+            for j in range(fleet.n_segments):
+                batch = fleet.segment(j)
+                valid = batch.cit_ns >= 0
+                np.add.at(self.sum_cit, batch.vpns[valid],
+                          batch.cit_ns[valid])
+                np.add.at(self.count, batch.vpns[valid], 1.0)
+            original(fleet)
 
-        self.policy.on_fault = wrapped
+        self.policy.on_fault_fleet = wrapped
 
 
 def test_fig10a_cit_correlation(benchmark, standard_setup, record_figure):

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="policies to sweep (default: the paper's six)",
     )
     sweep_p.add_argument(
-        "--seeds", type=int, nargs="+", default=[0], metavar="SEED",
+        "--seeds", type=_seed_arg, nargs="+", default=[0], metavar="SEED",
         help="seeds to sweep (default: 0)",
     )
     sweep_p.add_argument(
@@ -200,10 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload families (default: pmbench graph500 memcached)",
     )
     tour_p.add_argument(
-        "--seeds", type=int, nargs="+", default=[0], metavar="SEED",
+        "--seeds", type=_seed_arg, nargs="+", default=[0], metavar="SEED",
         help="seeds per (policy, workload) cell (default: 0)",
     )
-    tour_p.add_argument("--duration", type=float, default=60.0,
+    tour_p.add_argument("--duration", type=_positive_float, default=60.0,
                         help="simulated seconds per cell (default: 60)")
     tour_p.add_argument("--fast-pages", type=int, default=4_096,
                         help="fast-tier capacity (default: 4096)")
@@ -268,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "in pmbench delay units (default: 0)",
     )
     replay_p.add_argument(
-        "--duration", type=float, default=0.0,
+        "--duration", type=_non_negative_float, default=0.0,
         help="simulated seconds (default: one full replay cycle of "
         "the longest compiled trace)",
     )
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--page-scale", type=int, default=64,
         help="real pages per simulated page (default: 64)",
     )
-    replay_p.add_argument("--seed", type=int, default=0,
+    replay_p.add_argument("--seed", type=_seed_arg, default=0,
                           help="root RNG seed (default: 0)")
     replay_p.add_argument(
         "--no-fusion", action="store_true",
@@ -324,7 +325,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
         "--workload", default="pmbench", choices=WORKLOADS,
         help="workload family (default: pmbench)",
     )
-    parser.add_argument("--procs", type=int, default=8,
+    parser.add_argument("--procs", type=_positive_int, default=8,
                         help="number of processes (default: 8)")
     parser.add_argument("--pages", type=int, default=4_096,
                         help="pages per process (default: 4096)")
@@ -376,7 +377,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
         help="fraction of traffic-workload tenants with scripted "
         "phase shifts between two pattern tables (default: 0)",
     )
-    parser.add_argument("--duration", type=float, default=60.0,
+    parser.add_argument("--duration", type=_positive_float, default=60.0,
                         help="simulated seconds (default: 60)")
     parser.add_argument("--fast-pages", type=int, default=4_096,
                         help="fast-tier capacity (default: 4096)")
@@ -384,7 +385,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="slow-tier capacity (default: 32768)")
     parser.add_argument("--page-scale", type=int, default=64,
                         help="real pages per simulated page (default: 64)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed_arg, default=0,
                         help="root RNG seed (default: 0)")
     parser.add_argument(
         "--no-fusion", action="store_true",
@@ -408,6 +409,31 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
             "compiled tables, for equivalence checking)"
         ),
     )
+
+
+def _bounded(kind, accept, message: str):
+    """An argparse ``type`` that parses with ``kind`` and rejects values
+    failing ``accept`` with a one-line ``error: ... must ...``."""
+    def parse(value: str):
+        number = kind(value)
+        if not accept(number):
+            raise argparse.ArgumentTypeError(message)
+        return number
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_seed_arg = _bounded(int, lambda v: v >= 0, "must be >= 0")
+_positive_int = _bounded(int, lambda v: v >= 1, "must be >= 1")
+_positive_float = _bounded(
+    float, lambda v: math.isfinite(v) and v > 0, "must be a finite number > 0"
+)
+_non_negative_float = _bounded(
+    float, lambda v: math.isfinite(v) and v >= 0,
+    "must be a finite number >= 0",
+)
 
 
 def _jobs_arg(value: str) -> int:

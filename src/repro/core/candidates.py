@@ -16,10 +16,11 @@ process).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.slots import SlotTable
 from repro.vm.process import SimProcess
 
 #: XArray slot cost per candidate entry (vpn key + CIT + round counter)
@@ -35,8 +36,23 @@ class FilterResult:
     rejected: int  # candidates evicted by an over-threshold CIT
 
 
+class FleetFilterResult(NamedTuple):
+    """Outcome of feeding many processes' measurements through the
+    filter at once."""
+
+    #: input rows that passed all rounds, ascending (segment order)
+    ready_rows: np.ndarray
+    new_candidates: int
+    rejected: int
+
+
 class CandidateFilter:
-    """Per-process n-round CIT candidate tracking."""
+    """n-round CIT candidate tracking for every process.
+
+    The round counters and running max CITs of all processes live in one
+    fleet-indexed :class:`~repro.core.slots.SlotTable`, so a fault batch
+    spanning many processes is filtered with one vector program.
+    """
 
     def __init__(
         self, n_rounds: int = 2, granularity_pages: int = 1
@@ -50,9 +66,7 @@ class CandidateFilter:
             raise ValueError("granularity must cover at least one page")
         self.n_rounds = int(n_rounds)
         self.granularity_pages = int(granularity_pages)
-        # pid -> (passes array, max-CIT array); allocated on first use.
-        self._passes: Dict[int, np.ndarray] = {}
-        self._max_cit: Dict[int, np.ndarray] = {}
+        self._table = SlotTable(passes=np.int8, max_cit=np.int64)
 
     def _slots(self, process: SimProcess) -> int:
         return -(-process.n_pages // self.granularity_pages)
@@ -61,11 +75,7 @@ class CandidateFilter:
         return self.granularity_pages == 1
 
     def _arrays(self, process: SimProcess) -> Tuple[np.ndarray, np.ndarray]:
-        if process.pid not in self._passes:
-            slots = self._slots(process)
-            self._passes[process.pid] = np.zeros(slots, dtype=np.int8)
-            self._max_cit[process.pid] = np.zeros(slots, dtype=np.int64)
-        return self._passes[process.pid], self._max_cit[process.pid]
+        return self._table.views(process.pid, self._slots(process))
 
     def observe(
         self,
@@ -79,20 +89,57 @@ class CandidateFilter:
         Pages whose CIT is below the threshold advance one round (entering
         the candidate set on their first pass); pages at or above it are
         dropped from the set.  Pages completing ``n_rounds`` are returned
-        as promotion-ready and removed from the set.
+        as promotion-ready and removed from the set.  The one-process
+        case of :meth:`observe_fleet`.
         """
-        if threshold_ns <= 0:
-            raise ValueError("CIT threshold must be positive")
         vpns = np.asarray(vpns, dtype=np.int64)
         cit_ns = np.asarray(cit_ns, dtype=np.int64)
         if vpns.shape != cit_ns.shape:
             raise ValueError("vpns and CITs must be parallel")
-        passes, max_cit = self._arrays(process)
-        pages = process.pages
+        result = self.observe_fleet(
+            [process],
+            np.array([0, vpns.size], dtype=np.int64),
+            vpns,
+            cit_ns,
+            threshold_ns,
+        )
+        return FilterResult(
+            ready_vpns=vpns[result.ready_rows],
+            new_candidates=result.new_candidates,
+            rejected=result.rejected,
+        )
+
+    def observe_fleet(
+        self,
+        processes: Sequence[SimProcess],
+        bounds: np.ndarray,
+        slots: np.ndarray,
+        cit_ns: np.ndarray,
+        threshold_ns: int,
+    ) -> FleetFilterResult:
+        """Feed one round of measurements for several processes.
+
+        Process ``processes[j]`` owns rows ``bounds[j]:bounds[j + 1]`` of
+        ``slots`` / ``cit_ns``.  The state updates are the per-process
+        sequence of :meth:`observe`, executed once over global slot ids;
+        processes own disjoint slot ranges, so every row updates exactly
+        the state a per-process call would.  Per-page ``candidate``
+        flags are written back per process.
+        """
+        if threshold_ns <= 0:
+            raise ValueError("CIT threshold must be positive")
+        ids = self._table.ids(
+            [p.pid for p in processes],
+            [self._slots(p) for p in processes],
+            bounds,
+            slots,
+        )
+        passes = self._table.arrays["passes"]
+        max_cit = self._table.arrays["max_cit"]
 
         below = cit_ns < threshold_ns
-        passing = vpns[below]
-        failing = vpns[~below]
+        passing = ids[below]
+        failing = ids[~below]
 
         new_candidates = int(np.count_nonzero(passes[passing] == 0))
         rejected = int(np.count_nonzero(passes[failing] > 0))
@@ -100,23 +147,37 @@ class CandidateFilter:
         # Failed measurement evicts the page from the candidate set.
         passes[failing] = 0
         max_cit[failing] = 0
-        if self._tracks_pages():
-            pages.candidate[failing] = False
-
         passes[passing] += 1
         np.maximum.at(max_cit, passing, cit_ns[below])
         if self._tracks_pages():
-            pages.candidate[passing] = True
-            pages.candidate_cit_ns[passing] = max_cit[passing]
+            passing_cit = max_cit[passing]
 
-        done = passing[passes[passing] >= self.n_rounds]
-        passes[done] = 0
-        max_cit[done] = 0
+        done = passes[passing] >= self.n_rounds
+        done_ids = passing[done]
+        passes[done_ids] = 0
+        max_cit[done_ids] = 0
+
         if self._tracks_pages():
-            pages.candidate[done] = False
+            # Final flag of every observed page: in the set iff it holds
+            # a round count (done and failed pages were just cleared).
+            flags = passes[ids] > 0
+            passing_before = np.zeros(below.size + 1, dtype=np.int64)
+            np.cumsum(below, out=passing_before[1:])
+            cuts = bounds.tolist()
+            passing_cuts = passing_before[bounds].tolist()
+            passing_slots = slots[below]
+            for j, process in enumerate(processes):
+                pages = process.pages
+                lo, hi = cuts[j], cuts[j + 1]
+                pages.candidate[slots[lo:hi]] = flags[lo:hi]
+                lo, hi = passing_cuts[j], passing_cuts[j + 1]
+                if hi > lo:
+                    pages.candidate_cit_ns[passing_slots[lo:hi]] = (
+                        passing_cit[lo:hi]
+                    )
 
-        return FilterResult(
-            ready_vpns=done,
+        return FleetFilterResult(
+            ready_rows=np.flatnonzero(below)[done],
             new_candidates=new_candidates,
             rejected=rejected,
         )

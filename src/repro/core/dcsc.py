@@ -22,14 +22,16 @@ extremely cold and are counted into the coldest bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cit import CIT_BUCKETS, bucket_upper_bound_ns, cit_bucket
+from repro.core.slots import SlotTable
 from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.sim.jit import dcsc_fold
 from repro.sim.timeunits import SECOND
+from repro.vm.fault import FleetFaultBatch
 from repro.vm.process import SimProcess
 
 
@@ -89,19 +91,20 @@ class DcscCollector:
             FAST_TIER: np.zeros(config.n_buckets),
             SLOW_TIER: np.zeros(config.n_buckets),
         }
-        self._round: Dict[int, np.ndarray] = {}
-        self._first_cit: Dict[int, np.ndarray] = {}
-        self._probe_ts: Dict[int, np.ndarray] = {}
+        #: per-page measurement round, first-round CIT and probe time of
+        #: every process, fleet-indexed (global slot = base + vpn)
+        self._table = SlotTable(
+            round=np.int8, first_cit=np.int64, probe_ts=np.int64
+        )
         self.probes_issued = 0
         self.samples_recorded = 0.0
 
     def _arrays(self, process: SimProcess):
-        pid = process.pid
-        if pid not in self._round:
-            self._round[pid] = np.zeros(process.n_pages, dtype=np.int8)
-            self._first_cit[pid] = np.zeros(process.n_pages, dtype=np.int64)
-            self._probe_ts[pid] = np.zeros(process.n_pages, dtype=np.int64)
-        return self._round[pid], self._first_cit[pid], self._probe_ts[pid]
+        return self._table.views(process.pid, process.n_pages)
+
+    def reserve(self, processes: Iterable[SimProcess]) -> None:
+        """Allocate every process's per-page state in one step."""
+        self._table.reserve((p.pid, p.n_pages) for p in processes)
 
     # ------------------------------------------------------------------
     # Probing
@@ -176,64 +179,113 @@ class DcscCollector:
         cit_ns: np.ndarray,
         fault_ts_ns: np.ndarray,
     ) -> None:
-        """Handle faults on PG_probed pages (both measurement rounds)."""
-        rounds, first_cit, _ = self._arrays(process)
+        """Handle faults on PG_probed pages (both measurement rounds):
+        the one-process case of :meth:`on_probed_fault_fleet`."""
         vpns = np.asarray(vpns, dtype=np.int64)
-        cit_ns = np.asarray(cit_ns, dtype=np.int64)
-        fault_ts_ns = np.asarray(fault_ts_ns, dtype=np.int64)
+        self.on_probed_fault_fleet(
+            FleetFaultBatch(
+                [process],
+                np.array([0, vpns.size], dtype=np.int64),
+                vpns,
+                np.asarray(fault_ts_ns, dtype=np.int64),
+                np.asarray(cit_ns, dtype=np.int64),
+                pending=False,
+            )
+        )
+
+    def on_probed_fault_fleet(self, probes: FleetFaultBatch) -> None:
+        """Handle one quantum's faults on PG_probed pages, all processes.
+
+        Round bookkeeping runs over global slot ids; re-protection and
+        ``PG_probed`` clearing touch each owning process's pages.  The
+        heat maps take each process's sample counts in segment order
+        (``np.add.accumulate`` over per-process rows), so the float sums
+        match a per-process loop bit for bit.
+        """
+        processes = probes.processes
+        vpns = probes.vpns
+        cit_ns = probes.cit_ns
+        fault_ts_ns = probes.fault_ts_ns
+        ids = self._table.ids(
+            [p.pid for p in processes],
+            [p.n_pages for p in processes],
+            probes.bounds,
+            vpns,
+        )
+        rounds = self._table.arrays["round"]
+        first_cit = self._table.arrays["first_cit"]
 
         # Evaluate both round memberships before mutating, or a page
         # advanced to round two by this batch would also be *recorded* by
         # this batch.
-        in_round1 = rounds[vpns] == 1
-        in_round2 = rounds[vpns] == 2
-        round1 = vpns[in_round1]
-        if round1.size:
-            first_cit[round1] = cit_ns[in_round1]
-            rounds[round1] = 2
+        phase = rounds[ids]
+        in_round1 = phase == 1
+        in_round2 = phase == 2
+        if in_round1.any():
+            rows = np.flatnonzero(in_round1)
+            first_cit[ids[rows]] = cit_ns[rows]
+            rounds[ids[rows]] = 2
             # Second measurement round starts at the fault instant
             # (rounded up to the engine boundary when configured; see
             # DcscConfig.requantize_ns).
-            restart_ts = fault_ts_ns[in_round1]
+            restart_ts = fault_ts_ns[rows]
             if self.config.requantize_ns > 0:
                 q = self.config.requantize_ns
                 restart_ts = (restart_ts // q + 1) * q
-            process.pages.protect_at(round1, restart_ts)
-
-        round2 = vpns[in_round2]
-        if round2.size:
-            max_cit = np.maximum(first_cit[round2], cit_ns[in_round2])
-            buckets = cit_bucket(
-                max_cit, self.config.n_buckets, self.config.cit_unit_ns
-            )
-            # One fused (tier, bucket) reduction instead of a per-tier
-            # ``np.add.at`` scatter; the counts are integer-valued
-            # float64, so adding them per tier matches the sequential
-            # unit-increments exactly for integer-valued heat cells and
-            # to 1 ulp per cell otherwise (decayed maps).
-            counts = dcsc_fold(
-                process.pages.tier[round2],
-                buckets,
-                max(FAST_TIER, SLOW_TIER) + 1,
-                self.config.n_buckets,
-            )
-            for tier in (FAST_TIER, SLOW_TIER):
-                tier_counts = counts[tier]
-                if tier_counts.any():
-                    self.heat_maps[tier] += tier_counts
-            self.samples_recorded += float(round2.size)
-            rounds[round2] = 0
-            process.pages.probed[round2] = False
-            if self.obs is not None:
-                self.obs.inc("dcsc.samples", int(round2.size))
-                self.obs.emit(
-                    "cit.sample",
-                    int(fault_ts_ns[in_round2].max()),
-                    pid=process.pid,
-                    vpns=round2,
-                    cit_ns=max_cit,
-                    tiers=process.pages.tier[round2],
+            round1 = vpns[rows]
+            for j, lo, hi in probes.runs(rows):
+                processes[j].pages.protect_at(
+                    round1[lo:hi], restart_ts[lo:hi]
                 )
+
+        if not in_round2.any():
+            return
+        rows = np.flatnonzero(in_round2)
+        round2 = vpns[rows]
+        max_cit = np.maximum(first_cit[ids[rows]], cit_ns[rows])
+        buckets = cit_bucket(
+            max_cit, self.config.n_buckets, self.config.cit_unit_ns
+        )
+        tiers = probes.gather("tier", rows)
+        runs = probes.runs(rows)
+        # One (process, tier, bucket) count table, then each tier's heat
+        # map takes the per-process rows in order.  Counts are
+        # integer-valued; adding a process's all-zero row is exact.
+        n_tiers = max(FAST_TIER, SLOW_TIER) + 1
+        local = np.repeat(
+            np.arange(len(runs), dtype=np.int64),
+            [hi - lo for _, lo, hi in runs],
+        )
+        counts = dcsc_fold(
+            local * n_tiers + tiers,
+            buckets,
+            len(runs) * n_tiers,
+            self.config.n_buckets,
+        ).reshape(len(runs), n_tiers, self.config.n_buckets)
+        for tier in (FAST_TIER, SLOW_TIER):
+            heat_map = self.heat_maps[tier]
+            rows_in_order = np.concatenate(
+                (heat_map[None, :], counts[:, tier, :])
+            )
+            heat_map[:] = np.add.accumulate(rows_in_order, axis=0)[-1]
+        self.samples_recorded += float(rows.size)
+        rounds[ids[rows]] = 0
+        for j, lo, hi in runs:
+            processes[j].pages.probed[round2[lo:hi]] = False
+        obs = self.obs
+        if obs is not None:
+            obs.inc("dcsc.samples", int(rows.size))
+            if obs.tracer is not None:
+                sample_ts = fault_ts_ns[rows]
+                for j, lo, hi in runs:
+                    obs.emit(
+                        "cit.sample",
+                        int(sample_ts[lo:hi].max()),
+                        pid=processes[j].pid,
+                        vpns=round2[lo:hi],
+                        cit_ns=max_cit[lo:hi],
+                        tiers=tiers[lo:hi],
+                    )
 
     # ------------------------------------------------------------------
     # Overlap identification -> parameter targets

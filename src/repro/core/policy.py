@@ -36,6 +36,7 @@ from repro.mem.machine import PAGE_SIZE
 from repro.mem.tier import SLOW_TIER
 from repro.policies.base import TieringPolicy
 from repro.sim.timeunits import MILLISECOND, SECOND
+from repro.vm.fault import FleetFaultBatch
 from repro.vm.hugepage import HUGE_2MB_PAGES, base_vpns_of
 
 
@@ -366,6 +367,7 @@ class ChronoPolicy(TieringPolicy):
     def _probe_tick(self, now_ns: int) -> None:
         kernel = self._require_kernel()
         self.dcsc.decay_maps()
+        self.dcsc.reserve(kernel.processes)
         for process in kernel.processes:
             if process.finished:
                 continue
@@ -387,98 +389,148 @@ class ChronoPolicy(TieringPolicy):
     # Fault path
     # ------------------------------------------------------------------
     def on_fault(self, process, batch) -> None:
-        kernel = self._require_kernel()
-        pages = process.pages
-        vpns = batch.vpns
-        cits = batch.cit_ns
+        """Handle one process's hint faults: the one-process case of
+        :meth:`on_fault_fleet`."""
+        self.on_fault_fleet(FleetFaultBatch.of(process, batch))
 
-        probed = pages.probed[vpns]
+    def on_fault_fleet(self, fleet) -> None:
+        """Handle one quantum's hint faults for every faulting process.
+
+        Chrono's fault handling is per-process separable: DCSC folding,
+        thrash detection and candidate filtering read and write only the
+        faulting process's own pages plus fleet-indexed filter/DCSC
+        state, and the only shared accumulations -- heat-map sums and
+        the promotion queue -- are applied in segment order.  So the
+        whole fleet runs as one vector program, bit-identical to a
+        per-process ``on_fault`` loop.
+        """
+        kernel = self._require_kernel()
+        fleet.write_pages()
+
+        probed = fleet.gather("probed")
+        regular = fleet
         if probed.any():
             if self.dcsc is not None:
                 profiler = kernel.profiler
                 if profiler is not None:
                     profiler.push("dcsc_fold")
                 try:
-                    self.dcsc.on_probed_fault(
-                        process,
-                        vpns[probed],
-                        cits[probed],
-                        batch.fault_ts_ns[probed],
+                    self.dcsc.on_probed_fault_fleet(
+                        fleet.subset(np.flatnonzero(probed))
                     )
                 finally:
                     if profiler is not None:
                         profiler.pop()
-            regular = ~probed
-            vpns = vpns[regular]
-            cits = cits[regular]
+            regular = fleet.subset(np.flatnonzero(~probed))
+            if regular.n_faults == 0:
+                return
 
-        slow_sel = pages.tier[vpns] == SLOW_TIER
-        vpns = vpns[slow_sel]
-        cits = cits[slow_sel]
-        if vpns.size == 0:
+        slow = regular.subset(
+            np.flatnonzero(regular.gather("tier") == SLOW_TIER)
+        )
+        if slow.n_faults == 0:
             return
+        cits = slow.cit_ns
 
         # Thrashing detection (Section 3.3.2): a page demoted within the
         # last scan period whose CIT already re-qualifies it as a
         # promotion candidate is a wasted round trip.  The event fires at
         # *candidate entry* -- waiting for the full n-round submission
         # would push it outside the detection window.
-        now = kernel.clock.now
-        thrashing = (
-            pages.demoted[vpns]
-            & (now - pages.demote_ts_ns[vpns] < self.scan_period_ns)
-            & (cits >= 0)
-            & (cits < self.cit_threshold_ns)
-        )
-        n_thrash = int(np.count_nonzero(thrashing))
-        if n_thrash:
-            self.monitor.record_thrash(n_thrash)
-            kernel.stats.thrash_events += n_thrash
-            process.stats.thrash_events += n_thrash
-            if kernel.obs is not None:
-                kernel.obs.inc("thrash.events", n_thrash)
-                kernel.obs.emit(
+        demoted = np.flatnonzero(slow.gather("demoted"))
+        if demoted.size:
+            now = kernel.clock.now
+            demoted_cits = cits[demoted]
+            thrashing = demoted[
+                (now - slow.gather("demote_ts_ns", demoted)
+                 < self.scan_period_ns)
+                & (demoted_cits >= 0)
+                & (demoted_cits < self.cit_threshold_ns)
+            ]
+            if thrashing.size:
+                self._record_thrash(slow.subset(thrashing), now)
+
+        if self.page_granularity == "huge":
+            self._observe_huge(slow)
+        else:
+            result = self.filter.observe_fleet(
+                slow.processes,
+                slow.bounds,
+                slow.vpns,
+                cits,
+                int(self.cit_threshold_ns),
+            )
+            ready = slow.subset(result.ready_rows)
+            cuts = ready.cuts
+            for j, process in enumerate(ready.processes):
+                self._submit(process, ready.vpns[cuts[j]:cuts[j + 1]])
+
+    def _record_thrash(self, thrash, now: int) -> None:
+        """Count thrash events and clear their pages' demoted flags
+        (each round trip is counted once)."""
+        kernel = self._require_kernel()
+        n_thrash = thrash.n_faults
+        self.monitor.record_thrash(n_thrash)
+        kernel.stats.thrash_events += n_thrash
+        obs = kernel.obs
+        if obs is not None:
+            obs.inc("thrash.events", n_thrash)
+        cuts = thrash.cuts
+        for j, process in enumerate(thrash.processes):
+            vpns = thrash.vpns[cuts[j]:cuts[j + 1]]
+            process.stats.thrash_events += int(vpns.size)
+            if obs is not None:
+                obs.emit(
                     "thrash.detect",
                     now,
                     pid=process.pid,
-                    n_pages=n_thrash,
-                    vpns=vpns[thrashing],
+                    n_pages=int(vpns.size),
+                    vpns=vpns,
                 )
-            # Each round trip is counted once.
-            pages.demoted[vpns[thrashing]] = False
+            process.pages.demoted[vpns] = False
 
-        if self.page_granularity == "huge":
-            self._observe_huge(process, vpns, cits)
-        else:
-            result = self.filter.observe(
-                process, vpns, cits, int(self.cit_threshold_ns)
-            )
-            self._submit(process, result.ready_vpns)
-
-    def _observe_huge(self, process, vpns, cits) -> None:
+    def _observe_huge(self, slow) -> None:
         """Huge-page mode: filter at 2 MB group granularity with the
         scaled threshold; ready groups promote wholesale."""
-        groups = vpns // self.hp_pages
-        order = np.argsort(cits)
-        unique_groups, first_idx = np.unique(
-            groups[order], return_index=True
+        groups = slow.vpns // self.hp_pages
+        # Key every (process, group) pair in segment-major order; the
+        # first occurrence of a key in CIT order carries its min CIT.
+        stride = int(groups.max()) + 1
+        owner = np.repeat(
+            np.arange(slow.n_segments, dtype=np.int64), slow.counts()
         )
-        group_cits = cits[order][first_idx]  # min CIT per group
+        order = np.argsort(slow.cit_ns)
+        keys, first_idx = np.unique(
+            (owner * stride + groups)[order], return_index=True
+        )
+        group_cits = slow.cit_ns[order][first_idx]  # min CIT per group
+        group_bounds = np.searchsorted(
+            keys, np.arange(slow.n_segments + 1, dtype=np.int64) * stride
+        )
         threshold = scaled_threshold_ns(self.cit_threshold_ns, self.hp_pages)
-        result = self.filter.observe(
-            process, unique_groups, group_cits, max(int(threshold), 1)
+        result = self.filter.observe_fleet(
+            slow.processes,
+            group_bounds,
+            keys % stride,
+            group_cits,
+            max(int(threshold), 1),
         )
-        if result.ready_vpns.size == 0:
+        ready = result.ready_rows
+        if ready.size == 0:
             return
-        base = base_vpns_of(
-            result.ready_vpns, process.n_pages, self.hp_pages
-        )
-        base = base[process.pages.tier[base] == SLOW_TIER]
-        self._submit(process, base)
+        ready_owner = keys[ready] // stride
+        ready_groups = keys[ready] % stride
+        for j in np.unique(ready_owner).tolist():
+            process = slow.processes[j]
+            base = base_vpns_of(
+                ready_groups[ready_owner == j], process.n_pages, self.hp_pages
+            )
+            base = base[process.pages.tier[base] == SLOW_TIER]
+            self._submit(process, base)
 
     def _submit(self, process, ready_vpns: np.ndarray) -> None:
         """Enqueue promotion-ready pages (thrash accounting happens at
-        candidate entry in :meth:`on_fault`)."""
+        candidate entry in :meth:`on_fault_fleet`)."""
         if ready_vpns.size == 0:
             return
         kernel = self._require_kernel()

@@ -38,7 +38,13 @@ One quantum is then:
    inverse-CDF lookup -- exact by Poisson superposition / thinning.
    When exactly one segment is fault-eligible the draw delegates to the
    per-process sampler with the process's own stream, keeping
-   single-process arenas bit-identical to the reference mode,
+   single-process arenas bit-identical to the reference mode.  The
+   touched segments then go through one *fault window*
+   (``QuantumEngine._fault_window``): one fleet resolve (timestamps
+   from each process's own stream, offsets and CITs as vector
+   operations), one kernel account, and one
+   ``TieringPolicy.on_fault_fleet`` hook call -- bit-identical to
+   resolving and delivering segment by segment,
 4. one *ledger account*: ``open_n += n_vec`` extends the concatenated
    open run; each segment's share drains lazily into its
    ``PageState``'s own pending ledger the first time a consumer reads
@@ -112,7 +118,6 @@ from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.policies.base import TieringPolicy
 from repro.sim.jit import price_fold, searchsorted_right
-from repro.vm.fault import take_hint_faults
 from repro.workloads.base import Workload, distribution_fingerprint
 
 
@@ -1232,27 +1237,36 @@ class ProcessArena:
         prot_epochs = self._cells[1]
         entry_epoch = self._fault_entry_epoch
         stale = eligible[prot_epochs[eligible] != entry_epoch[eligible]]
-        for k in stale.tolist():
-            proc = procs[k]
-            pages = proc.pages
-            protected = pages.protected_pages()
-            buffers = seg_buffers[k]
-            probs = self.probs_refs[k]
-            if protected.size and (
-                buffers.fault_probs is not probs
-                or buffers.fault_prot is not protected
-            ):
-                engine._rebuild_fault_cache(
-                    buffers, probs, protected, float(n_vec[k])
-                )
-            self._entry_protected[k] = protected
-            if protected.size:
-                self._active_size[k] = buffers.active_p.size
-                self._dormant_mass_vec[k] = buffers.dormant_mass
-            else:
-                self._active_size[k] = 0
-                self._dormant_mass_vec[k] = 0.0
-            entry_epoch[k] = pages.protect_epoch
+        if stale.size:
+            stale_segs = stale.tolist()
+            rebuilds = []
+            for k in stale_segs:
+                protected = procs[k].pages.protected_pages()
+                buffers = seg_buffers[k]
+                probs = self.probs_refs[k]
+                if protected.size and (
+                    buffers.fault_probs is not probs
+                    or buffers.fault_prot is not protected
+                ):
+                    rebuilds.append(
+                        (buffers, probs, protected, float(n_vec[k]))
+                    )
+                self._entry_protected[k] = protected
+            if rebuilds:
+                engine._rebuild_fault_caches(rebuilds)
+            active_sizes = []
+            dormant_masses = []
+            for k in stale_segs:
+                if self._entry_protected[k].size:
+                    buffers = seg_buffers[k]
+                    active_sizes.append(buffers.active_p.size)
+                    dormant_masses.append(buffers.dormant_mass)
+                else:
+                    active_sizes.append(0)
+                    dormant_masses.append(0.0)
+                entry_epoch[k] = procs[k].pages.protect_epoch
+            self._active_size[stale] = active_sizes
+            self._dormant_mass_vec[stale] = dormant_masses
         masks: Dict[int, np.ndarray] = {}
         # Active head: one concatenated Bernoulli draw over the cached
         # per-segment rate vectors.
@@ -1289,11 +1303,11 @@ class ProcessArena:
             lam = concat_p * np.repeat(n_vec[a_segs], sizes)
             touched = rng.random(lam.size) < -np.expm1(-lam)
             counts = np.add.reduceat(touched, starts)
-            for j in np.flatnonzero(counts).tolist():
+            for j in counts.nonzero()[0].tolist():
                 k = int(a_segs[j])
                 buffers = seg_buffers[k]
                 off = int(starts[j])
-                hits = np.flatnonzero(touched[off : off + int(sizes[j])])
+                hits = touched[off : off + int(sizes[j])].nonzero()[0]
                 mask = masks.get(k)
                 if mask is None:
                     mask = buffers.touched_mask
@@ -1340,28 +1354,26 @@ class ProcessArena:
                             mask[:] = False
                             masks[seg] = mask
                         mask[buffers.dormant_pos[hits]] = True
-        # Deliver per segment, ascending order (the per-process order).
-        for seg in sorted(masks):
-            buffers = seg_buffers[seg]
-            proc = procs[seg]
-            protected = self._entry_protected[seg]
-            mask = masks[seg]
-            touched_vpns = protected[mask]
-            rates_per_ns = (
-                float(n_vec[seg]) * buffers.prot_p[mask] / quantum_ns
-            )
-            np.logical_not(mask, out=mask)
-            batch = take_hint_faults(
-                proc,
-                touched_vpns,
+        # One fault window over every touched segment, ascending order
+        # (the per-process order).
+        if masks:
+            segs = sorted(masks)
+            self._deliver(
+                segs,
+                [
+                    (
+                        procs[seg],
+                        self._entry_protected[seg],
+                        seg_buffers[seg],
+                        masks[seg],
+                        float(n_vec[seg]),
+                    )
+                    for seg in segs
+                ],
+                faults,
                 start_ns,
                 quantum_ns,
-                proc.rng,
-                rates_per_ns=rates_per_ns,
-                cache_remainder=protected[mask],
             )
-            self.kernel.deliver_faults(proc, batch)
-            faults[seg] = batch.n_faults
 
     # ------------------------------------------------------------------
     # Interning introspection
@@ -1424,6 +1436,7 @@ class ProcessArena:
         procs = self.processes
         rng = self.rng
         entries = []  # (seg, proc, protected, buffers)
+        rebuilds = []
         seg_buffers = self._seg_buffers
         for i in eligible:
             proc = procs[i]
@@ -1437,12 +1450,12 @@ class ProcessArena:
                 buffers.fault_probs is not probs
                 or buffers.fault_prot is not protected
             ):
-                engine._rebuild_fault_cache(
-                    buffers, probs, protected, float(n_vec[i])
-                )
+                rebuilds.append((buffers, probs, protected, float(n_vec[i])))
             entries.append((i, proc, protected, buffers))
         if not entries:
             return
+        if rebuilds:
+            engine._rebuild_fault_caches(rebuilds)
         masks: Dict[int, np.ndarray] = {}
 
         def mask_for(entry) -> np.ndarray:
@@ -1536,28 +1549,33 @@ class ProcessArena:
                         mask_for(entry)[
                             buffers.dormant_pos[hits]
                         ] = True
-        # Deliver per segment, ascending order (the per-process order).
-        for entry in entries:
-            i, proc, protected, buffers = entry
-            mask = masks.get(i)
-            if mask is None:
-                continue
-            touched_vpns = protected[mask]
-            rates_per_ns = (
-                float(n_vec[i]) * buffers.prot_p[mask] / quantum_ns
-            )
-            np.logical_not(mask, out=mask)
-            batch = take_hint_faults(
-                proc,
-                touched_vpns,
+        # One fault window over every touched segment, ascending order
+        # (the per-process order).
+        touched = [e for e in entries if e[0] in masks]
+        if touched:
+            self._deliver(
+                [e[0] for e in touched],
+                [
+                    (proc, protected, buffers, masks[i], float(n_vec[i]))
+                    for i, proc, protected, buffers in touched
+                ],
+                faults,
                 start_ns,
                 quantum_ns,
-                proc.rng,
-                rates_per_ns=rates_per_ns,
-                cache_remainder=protected[mask],
             )
-            self.kernel.deliver_faults(proc, batch)
-            faults[i] = batch.n_faults
+
+    def _deliver(
+        self,
+        segs: List[int],
+        touched: list,
+        faults: np.ndarray,
+        start_ns: int,
+        quantum_ns: int,
+    ) -> None:
+        """Hand the touched segments to the engine's fault window and
+        record each segment's fault count."""
+        fleet = self.engine._fault_window(touched, start_ns, quantum_ns)
+        faults[segs] = fleet.counts()
 
     # ------------------------------------------------------------------
     def _fold_latency(

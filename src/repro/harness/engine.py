@@ -97,6 +97,7 @@ the reference mode.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -106,7 +107,11 @@ from repro.kernel.kernel import Kernel
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.sim.timeunits import MILLISECOND
-from repro.vm.fault import take_hint_faults
+from repro.vm.fault import (
+    FleetFaultBatch,
+    resolve_hint_faults,
+    take_hint_faults,
+)
 from repro.vm.process import SimProcess
 
 Observer = Callable[["QuantumEngine", int], None]
@@ -846,34 +851,67 @@ class QuantumEngine:
     #: Bernoulli draw (see ``_sample_hint_faults``)
     FAULT_DORMANT_MAX_TOUCH: float = 0.02
 
-    def _rebuild_fault_cache(
-        self,
-        buffers: _ProcessBuffers,
-        probs: np.ndarray,
-        protected: np.ndarray,
-        n_accesses: float,
-    ) -> None:
-        """Split the protected snapshot into active / dormant candidates.
+    def _rebuild_fault_caches(self, rebuilds: list) -> None:
+        """Split protected snapshots into active / dormant candidates.
 
-        Costs O(protected) and runs only when the protected set or the
-        access distribution changed (both are replaced, never mutated, so
-        an identity check detects staleness).
+        ``rebuilds`` holds ``(buffers, probs, protected, n_accesses)``
+        rows, one per process whose protected set or access distribution
+        changed (both are replaced, never mutated, so an identity check
+        detects staleness).  Costs O(protected); the threshold compares
+        and position scans run once over the concatenated snapshots, and
+        each process keeps slices of the result -- element for element
+        what a per-process split computes.
         """
-        p_sub = probs[protected]
-        cut = self.FAULT_DORMANT_MAX_TOUCH / max(n_accesses, 1.0)
-        active = p_sub >= cut
-        buffers.prot_p = p_sub
-        buffers.active_pos = active_pos = np.flatnonzero(active)
-        buffers.active_p = p_sub[active_pos]
+        cut_touch = self.FAULT_DORMANT_MAX_TOUCH
+        if len(rebuilds) == 1:
+            buffers, probs, protected, n_accesses = rebuilds[0]
+            p_all = probs[protected]
+            active = p_all >= cut_touch / max(n_accesses, 1.0)
+        else:
+            parts = [probs[protected] for _, probs, protected, _ in rebuilds]
+            p_all = np.concatenate(parts)
+            active = p_all >= np.repeat(
+                [cut_touch / max(row[3], 1.0) for row in rebuilds],
+                [part.size for part in parts],
+            )
+        # ``nonzero()[0]`` is flatnonzero without its Python wrapper
+        # layers.
+        active_idx = active.nonzero()[0]
+        active_p = p_all[active_idx]
         np.logical_not(active, out=active)
-        active &= p_sub > 0.0  # zero-probability pages can never fault
-        buffers.dormant_pos = dormant_pos = np.flatnonzero(active)
-        cdf = np.cumsum(p_sub[dormant_pos])
-        buffers.dormant_cdf = cdf
-        buffers.dormant_mass = float(cdf[-1]) if cdf.size else 0.0
-        buffers.touched_mask = np.empty(protected.size, dtype=bool)
-        buffers.fault_probs = probs
-        buffers.fault_prot = protected
+        active &= p_all > 0.0  # zero-probability pages can never fault
+        dormant_idx = active.nonzero()[0]
+        dormant_p = p_all[dormant_idx]
+        offsets = list(accumulate(
+            (row[2].size for row in rebuilds), initial=0
+        ))
+        if len(rebuilds) == 1:
+            active_cuts = [0, active_idx.size]
+            dormant_cuts = [0, dormant_idx.size]
+        else:
+            # Positions relative to each process's own snapshot.
+            active_cuts = np.searchsorted(active_idx, offsets)
+            dormant_cuts = np.searchsorted(dormant_idx, offsets)
+            starts = np.array(offsets[:-1], dtype=np.int64)
+            active_idx = active_idx - np.repeat(starts, np.diff(active_cuts))
+            dormant_idx = dormant_idx - np.repeat(
+                starts, np.diff(dormant_cuts)
+            )
+            active_cuts = active_cuts.tolist()
+            dormant_cuts = dormant_cuts.tolist()
+        for j, (buffers, probs, protected, _) in enumerate(rebuilds):
+            a_lo, a_hi = active_cuts[j], active_cuts[j + 1]
+            d_lo, d_hi = dormant_cuts[j], dormant_cuts[j + 1]
+            buffers.prot_p = p_all[offsets[j]:offsets[j + 1]]
+            buffers.active_pos = active_idx[a_lo:a_hi]
+            buffers.active_p = active_p[a_lo:a_hi]
+            buffers.dormant_pos = dormant_idx[d_lo:d_hi]
+            cdf = dormant_p[d_lo:d_hi].cumsum()
+            buffers.dormant_cdf = cdf
+            buffers.dormant_mass = float(cdf[-1]) if cdf.size else 0.0
+            buffers.touched_mask = np.empty(protected.size, dtype=bool)
+            buffers.fault_probs = probs
+            buffers.fault_prot = protected
 
     def _sample_hint_faults(
         self,
@@ -905,8 +943,8 @@ class QuantumEngine:
             buffers.fault_probs is not probs
             or buffers.fault_prot is not protected
         ):
-            self._rebuild_fault_cache(
-                buffers, probs, protected, n_accesses
+            self._rebuild_fault_caches(
+                [(buffers, probs, protected, n_accesses)]
             )
         rng = process.rng
         mask = None
@@ -936,20 +974,64 @@ class QuantumEngine:
                 mask[buffers.dormant_pos[hits]] = True
         if mask is None:
             return 0
-        touched_vpns = protected[mask]
-        rates = n_accesses * buffers.prot_p[mask] / quantum_ns
-        np.logical_not(mask, out=mask)
-        batch = take_hint_faults(
-            process,
+        fleet = self._fault_window(
+            [(process, protected, buffers, mask, n_accesses)],
+            start_ns,
+            quantum_ns,
+        )
+        return fleet.n_faults
+
+    def _fault_window(
+        self,
+        touched: list,
+        start_ns: int,
+        quantum_ns: int,
+    ) -> FleetFaultBatch:
+        """Resolve, account and deliver one quantum's hint faults for
+        every process with touched protected pages.
+
+        ``touched`` holds ``(process, protected, buffers, mask, n)`` rows
+        in ascending process-table order: ``mask`` marks the touched
+        entries of the ``protected`` snapshot (it is consumed -- inverted
+        in place), ``buffers`` is the process's fault cache that snapshot
+        was split by, and ``n`` its accesses this quantum.  Shared by the
+        per-process sampler (one row) and the arena's aggregate draw
+        (many rows): one resolve, one kernel account, one policy hook.
+        """
+        processes = []
+        touched_vpns = []
+        remainders = []
+        probs = []
+        n_accesses = []
+        for process, protected, buffers, mask, n in touched:
+            processes.append(process)
+            touched_vpns.append(protected[mask])
+            probs.append(buffers.prot_p[mask])
+            np.logical_not(mask, out=mask)
+            remainders.append(protected[mask])
+            n_accesses.append(n)
+        if len(probs) == 1:
+            rates = n_accesses[0] * probs[0] / quantum_ns
+        else:
+            # Per element this is the per-process n * p / Q.
+            rates = (
+                np.repeat(
+                    np.array(n_accesses, dtype=np.float64),
+                    [part.size for part in probs],
+                )
+                * np.concatenate(probs)
+                / quantum_ns
+            )
+        fleet = resolve_hint_faults(
+            processes,
             touched_vpns,
             start_ns,
             quantum_ns,
-            rng,
             rates_per_ns=rates,
-            cache_remainder=protected[mask],
+            remainders=remainders,
         )
-        self.kernel.deliver_faults(process, batch)
-        return batch.n_faults
+        self.kernel.deliver_fleet_faults(fleet)
+        return fleet
 
     # ------------------------------------------------------------------
     def _record_latency(

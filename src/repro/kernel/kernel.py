@@ -9,7 +9,7 @@ patch touches in Linux.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Set
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.events import EventScheduler
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
+from repro.vm.fault import FleetFaultBatch
 from repro.vm.process import SimProcess
 
 #: per-page cost of one LRU aging pass (reference-bit harvest)
@@ -59,6 +60,8 @@ class Kernel:
         self.migration = MigrationEngine(self)
         self.cgroups = CgroupRegistry()
         self.processes: List[SimProcess] = []
+        #: pids in :attr:`processes` (O(1) duplicate check on register)
+        self._pids: Set[int] = set()
         self.policy: Any = None
         self.scanner: Optional[TickingScanner] = None
         #: optional :class:`repro.harness.profiling.Profiler`; when set,
@@ -99,8 +102,9 @@ class Kernel:
         self, process: SimProcess, cgroup: Optional[str] = None
     ) -> None:
         """Add a process to the table (placement happens separately)."""
-        if any(p.pid == process.pid for p in self.processes):
+        if process.pid in self._pids:
             raise ValueError(f"pid {process.pid} already registered")
+        self._pids.add(process.pid)
         self.processes.append(process)
         # Deferred-accounting flushes charge their wall time to the
         # profiler's ``accounting`` section (a no-op while unprofiled).
@@ -262,40 +266,73 @@ class Kernel:
         return self.scheduler.next_event_ns()
 
     def deliver_faults(self, process: SimProcess, fault_batch: Any) -> None:
-        """Account a fault batch and hand it to the policy."""
-        n = fault_batch.n_faults
-        if n == 0:
+        """Account one process's fault batch and hand it to the policy:
+        the one-process case of :meth:`deliver_fleet_faults`."""
+        if fault_batch.n_faults == 0:
             return
+        self.deliver_fleet_faults(FleetFaultBatch.of(process, fault_batch))
+
+    def deliver_fleet_faults(self, fleet: FleetFaultBatch) -> None:
+        """Account a quantum's faults for every faulting process, then
+        hand the whole batch to the policy's ``on_fault_fleet`` hook.
+
+        Accounting is per-process exact: each process's stats and kernel
+        debt take its own count and cost, and the global kernel time
+        takes each segment's cost in segment order.  Fault costs -- like
+        every cost an in-tree ``on_fault`` books -- are whole
+        nanoseconds, so booking them all before the policy hook leaves
+        the float totals bit-identical to a per-process
+        account-then-hook loop.  Page-state writes still pending after
+        the hook are applied last.
+        """
         profiler = self.profiler
         if profiler is not None:
             profiler.push("fault")
-        self.stats.hint_faults += n
-        process.stats.hint_faults += n
-        self.stats.context_switches += n
-        process.stats.context_switches += n
-        cost = n * self.machine.spec.effective_fault_cost_ns
-        process.charge_kernel(cost)
-        self.stats.kernel_time_ns += cost
+        processes = fleet.processes
+        cuts = fleet.cuts
+        counts = [cuts[j + 1] - cuts[j] for j in range(len(processes))]
+        total = cuts[-1]
+        self.stats.hint_faults += total
+        self.stats.context_switches += total
+        unit_cost = self.machine.spec.effective_fault_cost_ns
+        stats = self.stats
+        for process, n in zip(processes, counts):
+            process.stats.hint_faults += n
+            process.stats.context_switches += n
+            cost = n * unit_cost
+            process.charge_kernel(cost)
+            stats.kernel_time_ns += cost
         obs = self.obs
         if obs is not None:
-            obs.inc("fault.batches")
-            obs.inc("fault.hint_faults", n)
-            obs.inc("fault.cost_ns", cost)
-            obs.observe_many(
-                "fault.cit_ns",
-                fault_batch.cit_ns[fault_batch.cit_ns >= 0],
+            obs.inc("fault.batches", len(counts))
+            obs.inc("fault.hint_faults", total)
+            obs.inc("fault.cost_ns", total * unit_cost)
+            cit = fleet.cit_ns
+            kept = cit >= 0
+            kept_before = np.zeros(cit.size + 1, dtype=np.int64)
+            np.cumsum(kept, out=kept_before[1:])
+            obs.observe_runs(
+                "fault.cit_ns", cit[kept], kept_before[fleet.bounds]
             )
-            obs.emit(
-                "fault.batch", self.clock.now, **fault_batch.event_fields()
-            )
+            if obs.tracer is not None:
+                now = self.clock.now
+                for j in range(len(counts)):
+                    obs.emit(
+                        "fault.batch", now, **fleet.segment(j).event_fields()
+                    )
         if self.policy is not None:
             if profiler is not None:
                 profiler.push("policy")
             try:
-                self.policy.on_fault(process, fault_batch)
+                hook = getattr(self.policy, "on_fault_fleet", None)
+                if hook is not None:
+                    hook(fleet)
+                else:
+                    fleet.deliver_each(self.policy.on_fault)
             finally:
                 if profiler is not None:
                     profiler.pop()
+        fleet.write_pages()
         if profiler is not None:
             profiler.pop()
 

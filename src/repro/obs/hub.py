@@ -93,6 +93,14 @@ class ObsHub:
         if self.metrics is not None:
             self.metrics.histogram(name).observe_many(values)
 
+    def observe_runs(
+        self, name: str, values: np.ndarray, bounds: np.ndarray
+    ) -> None:
+        """Record integer observations as runs, one ``observe_many`` per
+        run (see :meth:`Histogram.observe_runs`)."""
+        if self.metrics is not None:
+            self.metrics.histogram(name).observe_runs(values, bounds)
+
     # ------------------------------------------------------------------
     def snapshot(self) -> Optional[Dict[str, Any]]:
         """Return the metrics snapshot, or ``None`` without a registry."""

@@ -384,6 +384,29 @@ class Histogram:
         self.total += float(values.size)
         self.sum += float(values.sum())
 
+    def observe_runs(self, values: np.ndarray, bounds: np.ndarray) -> None:
+        """Record integer observations as consecutive runs.
+
+        Run ``j`` is ``values[bounds[j]:bounds[j + 1]]``.  Equivalent to
+        one :meth:`observe_many` call per non-empty run, in order: the
+        bucket counts and totals are integer-valued, and each run's sum
+        is taken exactly in int64 before it is added to ``sum``, so the
+        float accumulation sees the same addends in the same order.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if values.size == 0:
+            return
+        indices = np.searchsorted(
+            self.edges, values.astype(np.float64), side="right"
+        )
+        np.add.at(self.counts, indices, 1.0)
+        self.total += float(values.size)
+        starts = np.asarray(bounds[:-1])[np.diff(bounds) > 0]
+        total = self.sum
+        for run_sum in np.add.reduceat(values, starts).tolist():
+            total += float(run_sum)
+        self.sum = total
+
     def mean(self) -> float:
         """Return the mean of all observations (0 when empty)."""
         return self.sum / self.total if self.total else 0.0

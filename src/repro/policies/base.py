@@ -6,6 +6,8 @@ A policy's contract with the kernel:
   policy configures the scanner, watermarks, and its sysctls here.
 * ``start()`` -- called from :meth:`Kernel.start`; schedule daemons here.
 * ``on_fault(process, batch)`` -- NUMA hint faults taken this quantum.
+* ``on_fault_fleet(fleet)`` -- one quantum's hint faults for every
+  faulting process at once; the default runs ``on_fault`` per process.
 * ``on_quantum(process, probs, n_accesses, start_ns, quantum_ns)`` --
   per-quantum traffic summary (PEBS-style policies sample from it).
 * ``on_lru_age(process, touched, now_ns)`` -- one LRU aging pass finished
@@ -21,7 +23,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
-    from repro.vm.fault import FaultBatch
+    from repro.vm.fault import FaultBatch, FleetFaultBatch
     from repro.vm.process import SimProcess
 
 
@@ -141,6 +143,27 @@ class TieringPolicy(ABC):
 
     def on_fault(self, process: "SimProcess", batch: "FaultBatch") -> None:
         """Handle a batch of NUMA hint faults."""
+
+    def on_fault_fleet(self, fleet: "FleetFaultBatch") -> None:
+        """Handle one quantum's hint faults for every faulting process.
+
+        The kernel accounts the whole fleet batch, then calls this hook
+        once.  The default is exactly the per-process loop: for each
+        segment in ascending process-table order it applies that
+        segment's pending page-state writes (unprotect, accessed bit)
+        and then calls :meth:`on_fault` -- so a policy whose ``on_fault``
+        migrates pages, draws from a shared stream or reads another
+        process's accessed bits sees the state it always saw.
+
+        Override it only when the policy's fault handling is per-process
+        separable: the override must call ``fleet.write_pages()`` before
+        it reads page state of the faulting pages, may read and write
+        only the faulting processes' own pages, and must keep every
+        shared accumulation (float sums, queue order, RNG draws) in
+        segment order.  :class:`repro.core.policy.ChronoPolicy` is the
+        in-tree example.
+        """
+        fleet.deliver_each(self.on_fault)
 
     def on_quantum(
         self,

@@ -74,6 +74,9 @@ class PageState:
     #: journal entries retained regardless of size (empty moves -- epoch
     #: bumps without pages -- must not grow the journal unboundedly)
     MOVE_LOG_CAP_ENTRIES: int = 4_096
+    #: protected-set size up to which ``_cache_protect`` sorts instead of
+    #: merging (sorting wins below ~1-2k pages on the recording host)
+    SMALL_MERGE: int = 1024
 
     def __init__(self, n_pages: int) -> None:
         # Zero pages is legal (an empty arena segment: the process exists
@@ -322,6 +325,12 @@ class PageState:
         current = self._protected_vpns
         if current.size == 0:
             self._protected_vpns = fresh
+        elif current.size + fresh.size <= self.SMALL_MERGE:
+            # Small sets: one concatenate + sort beats the merge's seven
+            # dispatches (the sets are disjoint, so the result is equal).
+            merged = np.concatenate((current, fresh))
+            merged.sort()
+            self._protected_vpns = merged
         else:
             # Hand-rolled sorted merge: ``np.insert`` carries generic
             # axis/object machinery that dominates at these sizes.
@@ -389,9 +398,9 @@ class PageState:
         duplicate's timestamp wins, as with fancy assignment.
         """
         vpns = np.asarray(vpns)
-        ts_ns = np.broadcast_to(
-            np.asarray(ts_ns, dtype=np.int64), vpns.shape
-        )
+        ts_ns = np.asarray(ts_ns, dtype=np.int64)
+        if ts_ns.shape != vpns.shape:
+            ts_ns = np.broadcast_to(ts_ns, vpns.shape)
         if vpns.size < 2 or bool((vpns[1:] > vpns[:-1]).all()):
             unique = vpns.astype(np.int64, copy=False)
             unique_ts = ts_ns

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.sim.timeunits import SECOND
@@ -96,6 +95,10 @@ class Graph500Workload(Workload):
 
     def _build_tables(self) -> dict:
         """Build the graph, page placement, and BFS frontier schedule."""
+        # networkx is only needed to build a graph (the tables are cached
+        # afterwards); importing it here keeps it out of ``repro`` start-up.
+        import networkx as nx
+
         n_vertices = self.n_pages * self.vertices_per_page
         graph = nx.barabasi_albert_graph(
             n_vertices, self.attachment, seed=self.seed

@@ -13,26 +13,38 @@ for bit.
 
 The end-to-end oracle runs each registered policy with
 ``batched_transients`` flipped off (the sequential opt-out) and demands
-the trajectory match the batched default exactly.  The hypothesis
+the trajectory match the batched default exactly.  The hint-fault
+window has its own twin oracle: the fleet resolve/account/deliver pass
+against a per-process ``take_hint_faults`` + ``deliver_faults`` loop.  The hypothesis
 suite checks the segment-offset repair invariant: concatenating
 per-process arrays and splitting selections back by owner must land
 every page in its owner's vpn space.
 """
+
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dcsc import DcscCollector, DcscConfig
+from repro.harness.engine import QuantumEngine
 from repro.harness.experiments import StandardSetup, build_fleet
 from repro.harness.runner import run_experiment
+from repro.kernel.kernel import Kernel
 from repro.kernel.lru import LruLists
 from repro.kernel.reclaim import _merge_victims
 from repro.kernel.scanner import ScanConfig
 from repro.mem.tier import FAST_TIER, SLOW_TIER
+from repro.obs.hub import ObsHub
+from repro.policies.base import TieringPolicy
 from repro.sim.jit import dcsc_fold, scan_filter
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
+from repro.vm.fault import FleetFaultBatch, resolve_hint_faults, take_hint_faults
+from repro.vm.process import SimProcess
 from tests.conftest import make_kernel, make_process
 
 #: every registered policy (the Table 1 roster)
@@ -379,6 +391,302 @@ class TestPolicyTransientOracle:
         )
         assert batched_run.fmar == sequential_run.fmar
         assert batched_run.stats == sequential_run.stats
+
+
+def sequential_fault_window(engine, touched, start_ns, quantum_ns):
+    """The per-process fault window: resolve and deliver each touched
+    process on its own, in order (the oracle for the fleet window)."""
+    counts = []
+    for process, protected, buffers, mask, n in touched:
+        touched_vpns = protected[mask]
+        rates = n * buffers.prot_p[mask] / quantum_ns
+        np.logical_not(mask, out=mask)
+        batch = take_hint_faults(
+            process,
+            touched_vpns,
+            start_ns,
+            quantum_ns,
+            process.rng,
+            rates_per_ns=rates,
+            cache_remainder=protected[mask],
+        )
+        engine.kernel.deliver_faults(process, batch)
+        counts.append(batch.n_faults)
+    return SimpleNamespace(
+        counts=lambda: np.array(counts, dtype=np.int64),
+        n_faults=sum(counts),
+    )
+
+
+def observable_state(value, seen=None):
+    """Everything reachable from ``value`` as comparable plain data.
+
+    Arrays compare by dtype, shape and bytes; generators by their
+    bit-generator state; processes by pid (their state is compared
+    separately); the kernel and obs hub are cut off.  Dict and
+    ordered-dict order is kept, so queue order is part of the state.
+    """
+    seen = set() if seen is None else seen
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (bool, int, str, type(None), np.integer)):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return ("float", float(value).hex())
+    if isinstance(value, np.random.Generator):
+        return ("rng", repr(value.bit_generator.state))
+    if isinstance(value, (SimProcess, Kernel, ObsHub)):
+        return ("ref", getattr(value, "pid", type(value).__name__))
+    if callable(value) and not hasattr(value, "__dict__"):
+        return ("callable",)
+    if id(value) in seen:
+        return ("seen",)
+    seen.add(id(value))
+    if isinstance(value, dict):
+        return [
+            (observable_state(k, seen), observable_state(v, seen))
+            for k, v in value.items()
+        ]
+    if isinstance(value, (list, tuple, deque)):
+        return [observable_state(v, seen) for v in value]
+    fields = dict(getattr(value, "__dict__", {}))
+    for cls in type(value).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if hasattr(value, name):
+                fields[name] = getattr(value, name)
+    return (
+        type(value).__name__,
+        [
+            (name, observable_state(fields[name], seen))
+            for name in sorted(fields)
+            if name not in ("kernel", "obs", "profiler")
+        ],
+    )
+
+
+def run_observables(processes, policy, hub):
+    """Page state, process and global stats, policy state, RNG streams
+    and obs output of a finished run."""
+    kernel = policy.kernel
+    events = {}
+    for event in hub.tracer.events():
+        events.setdefault(event["type"], []).append(
+            observable_state(event)
+        )
+    return {
+        "pages": [observable_state(p.pages) for p in processes],
+        "processes": [
+            observable_state(
+                (p.stats, p.pending_kernel_ns, p.rng, p.finished)
+            )
+            for p in processes
+        ],
+        "kernel": observable_state(
+            (kernel.stats, kernel.rng._streams, kernel.clock.now)
+        ),
+        "policy": observable_state(policy),
+        # The compiled-table cache is process-global, so its hit gauges
+        # differ between twins built one after the other.
+        "metrics": observable_state({
+            kind: {
+                name: value
+                for name, value in table.items()
+                if not name.startswith("workload.table")
+            }
+            if isinstance(table, dict) else table
+            for kind, table in hub.snapshot().items()
+        }),
+        "events": events,
+    }
+
+
+class TestFleetFaultWindowOracle:
+    """The fleet fault window against the per-process loop.
+
+    Twin runs differ only in the fault window: one resolves, accounts
+    and delivers every quantum's faults as one fleet pass
+    (``QuantumEngine._fault_window``), the oracle resolves and delivers
+    process by process through ``take_hint_faults`` and
+    ``Kernel.deliver_faults``.  Every observable must match bit for
+    bit -- page state, process and global stats, all policy state
+    (Chrono's heat maps, filter arrays and promotion-queue order
+    included), every RNG stream, the metrics and each event type's
+    event sequence -- under memory pressure and without it.
+    """
+
+    #: 4 pmbench procs x 512 pages on 896 fast pages puts every policy's
+    #: FMAR between 0.2 and 0.8; 8192 fast pages hold the whole fleet
+    CONFIGS = {"pressured": 896, "unpressured": 8192}
+
+    def _twin(self, monkeypatch, policy_name, fast_pages, sequential,
+              intern=True, **policy_overrides):
+        setup = StandardSetup(
+            duration_ns=4 * SECOND,
+            fast_pages=fast_pages,
+            slow_pages=4096,
+            scan_period_ns=SECOND,
+            seed=3,
+        )
+        policy = setup.build_policy(policy_name, **policy_overrides)
+        processes = build_fleet(
+            setup, "pmbench", n_procs=4, pages_per_proc=512
+        )
+        hub = ObsHub.create(trace=True, metrics=True)
+        with monkeypatch.context() as patch:
+            if sequential:
+                patch.setattr(
+                    QuantumEngine, "_fault_window", sequential_fault_window
+                )
+            result = run_experiment(
+                processes,
+                policy,
+                setup.run_config(intern=intern),
+                obs=hub,
+            )
+        return result, run_observables(processes, policy, hub)
+
+    def _assert_twins_match(self, monkeypatch, *args, **kwargs):
+        fleet_result, fleet = self._twin(monkeypatch, *args, False, **kwargs)
+        oracle_result, oracle = self._twin(
+            monkeypatch, *args, True, **kwargs
+        )
+        for key in fleet:
+            assert fleet[key] == oracle[key], key
+        assert fleet_result.fmar == oracle_result.fmar
+        assert (
+            fleet_result.throughput_per_sec
+            == oracle_result.throughput_per_sec
+        )
+        return fleet_result
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("policy_name", ALL_POLICIES)
+    def test_fleet_window_matches_per_process_loop(
+        self, monkeypatch, policy_name, config
+    ):
+        result = self._assert_twins_match(
+            monkeypatch, policy_name, self.CONFIGS[config]
+        )
+        if config == "pressured":
+            assert 0.2 < result.fmar < 0.8
+        else:
+            assert result.fmar > 0.95
+
+    @pytest.mark.parametrize("policy_name", ["linux-nb", "chrono"])
+    def test_uninterned_arena_window_matches(self, monkeypatch, policy_name):
+        self._assert_twins_match(
+            monkeypatch, policy_name, self.CONFIGS["pressured"], intern=False
+        )
+
+    def test_huge_page_chrono_matches(self, monkeypatch):
+        self._assert_twins_match(
+            monkeypatch,
+            "chrono",
+            self.CONFIGS["pressured"],
+            page_granularity="huge",
+        )
+
+    def test_default_hook_writes_each_segment_just_before_its_call(self):
+        """A policy that inspects other processes from ``on_fault`` sees
+        exactly the page state the per-process loop shows it: later
+        segments' faults are not yet written, earlier ones are."""
+        class SnapshotPolicy(TieringPolicy):
+            name = "snapshot"
+
+            def _configure(self, kernel):
+                self.seen = []
+
+            def on_fault(self, process, batch):
+                self.seen.append([
+                    (p.pages.accessed.copy(), p.pages.prot_none.copy())
+                    for p in self.kernel.processes
+                ])
+
+        runs = []
+        for fleet_window in (True, False):
+            kernel, processes = twin_fleet(n_procs=4, n_pages=64)
+            policy = SnapshotPolicy()
+            kernel.set_policy(policy)
+            touched = []
+            for index, process in enumerate(processes):
+                process.pages.protect(np.arange(64), now_ns=10)
+                touched.append(np.arange(index, 64, 5 + index))
+            if fleet_window:
+                fleet = resolve_hint_faults(processes, touched, 1_000, 500)
+                kernel.deliver_fleet_faults(fleet)
+            else:
+                for process, vpns in zip(processes, touched):
+                    batch = take_hint_faults(
+                        process, vpns, 1_000, 500, process.rng
+                    )
+                    kernel.deliver_faults(process, batch)
+            runs.append((policy.seen, processes, kernel))
+        (seen_f, procs_f, kernel_f), (seen_s, procs_s, kernel_s) = runs
+        assert len(seen_f) == len(seen_s) == 4
+        for call_f, call_s in zip(seen_f, seen_s):
+            for (acc_f, prot_f), (acc_s, prot_s) in zip(call_f, call_s):
+                np.testing.assert_array_equal(acc_f, acc_s)
+                np.testing.assert_array_equal(prot_f, prot_s)
+        for p_f, p_s in zip(procs_f, procs_s):
+            assert observable_state(p_f.pages) == observable_state(p_s.pages)
+            assert p_f.stats == p_s.stats
+        assert kernel_f.stats == kernel_s.stats
+
+    def test_dcsc_heat_maps_fold_in_segment_order(self):
+        """A heat-map cell at 2**53 - 1 absorbs unit counts added one by
+        one (2**53 + 1 rounds back to 2**53) but not a pre-summed row;
+        the fleet fold must add per-process rows one by one, like the
+        per-process loop."""
+        # One probe per process, so each process adds exactly 1.0 to the
+        # same (slow tier, bucket) cell.
+        config = DcscConfig(victim_fraction=0.001, min_victims_per_process=1)
+        cit = 3 * config.cit_unit_ns
+        results = []
+        for fleet_fold in (True, False):
+            processes = [
+                make_process(pid=index + 1, n_pages=128, seed=4)
+                for index in range(5)
+            ]
+            dcsc = DcscCollector(config, RngStreams(9).get("dcsc"))
+            for process in processes:
+                dcsc.probe_process(process, now_ns=0)
+            for fault_ts in (1_000, 9_000):  # round one, then round two
+                if fault_ts == 9_000:
+                    for heat_map in dcsc.heat_maps.values():
+                        heat_map[:] = 2.0**53 - 1
+                touched = [p.pages.protected_pages() for p in processes]
+                bounds = np.zeros(len(touched) + 1, dtype=np.int64)
+                np.cumsum([t.size for t in touched], out=bounds[1:])
+                vpns = np.concatenate(touched)
+                batch = FleetFaultBatch(
+                    processes, bounds, vpns,
+                    np.full(vpns.size, fault_ts, dtype=np.int64),
+                    np.full(vpns.size, cit, dtype=np.int64),
+                    pending=False,
+                )
+                if fleet_fold:
+                    dcsc.on_probed_fault_fleet(batch)
+                else:
+                    for j, process in enumerate(processes):
+                        seg = batch.segment(j)
+                        dcsc.on_probed_fault(
+                            process, seg.vpns, seg.cit_ns, seg.fault_ts_ns
+                        )
+            results.append((dcsc, processes))
+        (fleet_dcsc, fleet_procs), (loop_dcsc, loop_procs) = results
+        cell = loop_dcsc.heat_maps[SLOW_TIER].argmax()
+        assert loop_dcsc.heat_maps[SLOW_TIER][cell] == 2.0**53
+        assert (2.0**53 - 1) + 5.0 != 2.0**53  # what pre-summing gives
+        for tier in (FAST_TIER, SLOW_TIER):
+            np.testing.assert_array_equal(
+                fleet_dcsc.heat_maps[tier], loop_dcsc.heat_maps[tier]
+            )
+        assert fleet_dcsc.samples_recorded == loop_dcsc.samples_recorded
+        for p_f, p_l in zip(fleet_procs, loop_procs):
+            assert observable_state(p_f.pages) == observable_state(p_l.pages)
+        assert observable_state(fleet_dcsc._table) == observable_state(
+            loop_dcsc._table
+        )
 
 
 @st.composite

@@ -1,6 +1,10 @@
 """Tests for the chrono-sim command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,57 @@ class TestParser:
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--workload", "spec"])
+
+
+class TestInputValidation:
+    """Bad numeric input fails at the argparse boundary: one ``error:``
+    line on stderr and exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--seed", "-5"],
+            ["run", "--procs", "0"],
+            ["run", "--duration", "0"],
+            ["run", "--duration", "nan"],
+            ["traffic", "--procs", "0"],
+            ["tournament", "--seeds", "-1"],
+            ["tournament", "--duration", "-3"],
+            ["replay", "trace.npz", "--seed", "-2"],
+            ["replay", "trace.npz", "--duration", "-1"],
+        ],
+    )
+    def test_one_line_error_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1
+        assert "Traceback" not in err
+
+    def test_replay_accepts_zero_duration(self):
+        args = build_parser().parse_args(
+            ["replay", "trace.npz", "--duration", "0"]
+        )
+        assert args.duration == 0.0
+
+
+class TestStartup:
+    def test_cli_import_leaves_networkx_unloaded(self):
+        """networkx is only needed to build Graph500 tables; importing
+        the CLI (every workload's start-up) must not pay for it."""
+        code = (
+            "import sys, repro.cli; "
+            "sys.exit(1 if 'networkx' in sys.modules else 0)"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env)
+        assert done.returncode == 0
 
 
 class TestRun:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.candidates import CandidateFilter
+from repro.core.slots import SlotTable
 from tests.conftest import make_process
 
 THRESHOLD = 1_000_000  # 1 ms
@@ -141,3 +142,26 @@ class TestHousekeeping:
         filt = CandidateFilter()
         with pytest.raises(ValueError):
             filt.observe(process, np.array([1]), np.array([10]), 0)
+
+
+class TestSlotTable:
+    def test_growth_keeps_every_process_range(self):
+        table = SlotTable(passes=np.int8, max_cit=np.int64)
+        written = {}
+        for pid in range(1, 40):
+            passes, max_cit = table.views(pid, 3 + pid % 5)
+            passes[:] = pid % 7
+            max_cit[:] = pid * 1000
+            written[pid] = (3 + pid % 5, pid % 7, pid * 1000)
+        for pid, (n, rounds, cit) in written.items():
+            passes, max_cit = table.views(pid, n)
+            assert (passes == rounds).all() and (max_cit == cit).all()
+        assert table.used == sum(n for n, _, _ in written.values())
+
+    def test_ids_offset_each_process_range(self):
+        table = SlotTable(round=np.int8)
+        table.reserve([(7, 4), (3, 10)])
+        ids = table.ids(
+            [3, 7], [10, 4], np.array([0, 2, 3]), np.array([0, 9, 1])
+        )
+        np.testing.assert_array_equal(ids, [4, 13, 1])

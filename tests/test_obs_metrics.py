@@ -59,6 +59,23 @@ class TestHistogram:
         hist.observe_many(np.array([]))
         assert hist.total == 0.0
 
+    def test_observe_runs_matches_observe_many_per_run(self):
+        """Runs fold exactly like one ``observe_many`` per non-empty run,
+        including the order ``sum`` takes each run's total in (the sum
+        starts at 2**53 - 1, where unit steps round away)."""
+        values = np.array([1, 1, 7, 300, 2, 2**40, 1], dtype=np.int64)
+        bounds = np.array([0, 1, 1, 3, 6, 7])
+        runs = Histogram("x", edges=[1.0, 10.0, 100.0])
+        per_run = Histogram("x", edges=[1.0, 10.0, 100.0])
+        runs.sum = per_run.sum = 2.0**53 - 1
+        runs.observe_runs(values, bounds)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                per_run.observe_many(values[lo:hi])
+        assert list(runs.counts) == list(per_run.counts)
+        assert runs.total == per_run.total
+        assert runs.sum == per_run.sum
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Histogram("x", edges=[])
