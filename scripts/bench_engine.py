@@ -31,18 +31,10 @@ periods (5 s Ticking scan, 1 s aging), fusion off in both modes.
 The arena is never quiesced: scan, aging, migration, and reclaim
 windows all run through the batched fleet passes, so the measured
 gap is per-quantum stepping cost under real transient load.  The
-speedup must clear ``ARENA_SPEEDUP_FLOOR``.
-
-The class_dedup section times distribution interning
-(equivalence-class arena stepping; see ``docs/SIMULATION.md``
-section 8) against the uninterned arena step on a shared-table
-fleet: 1,024 compute-bound multitenant processes sharing exactly 8
-distinct distribution tables, fusion off in both modes, daemons
-live.  Only ``engine.run`` is timed (registration and placement of
-the 262 K-page fleet are identical fixed costs in both modes) and
-the clock is process CPU time, which is immune to scheduler noise
-on shared runners.  The interned-vs-uninterned speedup must clear
-``CLASS_DEDUP_SPEEDUP_FLOOR``.
+speedup must clear ``ARENA_SPEEDUP_FLOOR``, and the arena run must
+match the per-process run on throughput and FMAR within
+``ARENA_EQUIV_TOLERANCE`` -- a speedup bought with a biased arena
+does not count.
 
 The trace section covers the trace pipeline end to end.  Compile: a
 two-million-event synthetic stream with three known phases runs
@@ -52,11 +44,7 @@ CPU-second.  Replay: the compiled three-phase trace replays for one
 full cycle with fusion on and off; the fused run's fusion ratio must
 clear ``TRACE_FUSION_RATIO_FLOOR`` (a phase-stable compiled trace
 rides the macro-quantum path) and the two runs must agree on
-throughput and FMAR within ``TRACE_EQUIV_TOLERANCE``.  Traffic: a
-1,024-tenant generated fleet (``repro.workloads.tracegen``: Zipf
-popularity, diurnal delay buckets, shared pattern tables) steps
-through the arena interned vs uninterned under the class_dedup
-protocol, and the speedup must clear ``TRAFFIC_SPEEDUP_FLOOR``.
+throughput and FMAR within ``TRACE_EQUIV_TOLERANCE``.
 
 The tournament section times the full registered-policy roster (all
 12 Table 1 policies) on one phase-changing ``shifting-hotspot``
@@ -96,11 +84,9 @@ matching rung, when fused steady-state quanta/sec drops below
 fused-vs-unfused speedup falls below ``FUSION_SPEEDUP_FLOOR``, or
 when the arena-vs-per-process speedup falls below
 ``ARENA_SPEEDUP_FLOOR`` (or arena quanta/sec below
-``ARENA_GATE_FRACTION`` of the committed arena section), or when the
-class dedup interning speedup falls below
-``CLASS_DEDUP_SPEEDUP_FLOOR`` (or interned quanta per CPU-second
-below ``CLASS_DEDUP_GATE_FRACTION`` of the committed class_dedup
-section).
+``ARENA_GATE_FRACTION`` of the committed arena section, or the arena
+run's throughput or FMAR drifts more than ``ARENA_EQUIV_TOLERANCE``
+from the per-process run), or when a trace floor fails.
 CI-compatible: pure stdlib + the package itself, runs in about a
 minute at the default scale.
 """
@@ -202,37 +188,10 @@ ARENA_SPEEDUP_FLOOR = 2.0
 #: arena section's quanta/sec (host-speed jitter allowance).
 ARENA_GATE_FRACTION = 0.5
 
-#: shared-table fleet config for the class_dedup section: 1,024
-#: compute-bound tenants (uniform 400-unit think time holds aggregate
-#: demand below fast-tier saturation, so pricing reaches a steady
-#: state instead of a contention limit cycle) sharing exactly 8
-#: distinct distribution tables round-robin.  Interning collapses the
-#: 1,024-segment fleet into 8 equivalence classes, so the interned-
-#: vs-uninterned gap is the O(segments) -> O(unique-distributions)
-#: pricing win.  Fusion is off in both modes and the daemons run at
-#: the testbed's realistic periods (5 s Ticking scan, 10 s aging).
-CLASS_DEDUP_POLICY = "linux-nb"
-CLASS_DEDUP_TENANTS = 1_024
-CLASS_DEDUP_PAGES = 256
-CLASS_DEDUP_DISTINCT = 8
-CLASS_DEDUP_BASE_DELAY = 400
-CLASS_DEDUP_FAST_PAGES = 294_912
-CLASS_DEDUP_SLOW_PAGES = 32_768
-CLASS_DEDUP_SCAN_PERIOD_NS = 5 * SECOND
-CLASS_DEDUP_AGING_PERIOD_NS = 10 * SECOND
-CLASS_DEDUP_QUANTUM_NS = 5 * MILLISECOND
-CLASS_DEDUP_DURATION_NS = 2 * SECOND
-
-#: --quick floor on the interned-vs-uninterned speedup at the
-#: class_dedup config: equivalence-class stepping must at least halve
-#: per-quantum cost when 1,024 tenants share 8 tables (measured
-#: headroom is ~2.5-6x across seeds; 2x tolerates the weakest seed).
-CLASS_DEDUP_SPEEDUP_FLOOR = 2.0
-
-#: --quick interned-throughput floor, as a fraction of the committed
-#: class_dedup section's quanta per CPU-second (host-speed jitter
-#: allowance).
-CLASS_DEDUP_GATE_FRACTION = 0.5
+#: arena-vs-per-process equivalence tolerance on throughput and FMAR
+#: (relative error, both gates): the speedup only counts when the
+#: batched arena reproduces the per-process run it is timed against.
+ARENA_EQUIV_TOLERANCE = 0.05
 
 #: trace-compiler throughput config: a known-phase synthetic event
 #: stream (three rotating Zipf hotspots, one pid) pushed through the
@@ -265,33 +224,6 @@ TRACE_FUSION_RATIO_FLOOR = 0.5
 #: fused-vs-per-quantum replay equivalence tolerance (the arena
 #: suite's bound: rel 0.05, with the same 1e-4 FMAR absolute slack).
 TRACE_EQUIV_TOLERANCE = 0.05
-
-#: traffic-fleet config: 1,024 Zipf-popularity tenants from the fleet
-#: traffic generator (shared pattern tables, diurnal load mapped onto
-#: a geometric delay-bucket ladder), stationary roles only, stepped
-#: through the arena with interning on vs off.  Same machine shape,
-#: clock, and reasoning as the class_dedup section; the dedup here is
-#: coarser (pattern x delay-bucket classes instead of 8 flat tables).
-TRAFFIC_POLICY = "linux-nb"
-TRAFFIC_TENANTS = 1_024
-TRAFFIC_PAGES = 256
-TRAFFIC_PATTERNS = 8
-TRAFFIC_BASE_DELAY = 400
-TRAFFIC_FAST_PAGES = 294_912
-TRAFFIC_SLOW_PAGES = 32_768
-TRAFFIC_SCAN_PERIOD_NS = 5 * SECOND
-TRAFFIC_AGING_PERIOD_NS = 10 * SECOND
-TRAFFIC_QUANTUM_NS = 5 * MILLISECOND
-TRAFFIC_DURATION_NS = 2 * SECOND
-
-#: --quick floor on the interned-vs-uninterned speedup at the traffic
-#: config: interning must at least halve per-quantum cost when 1,024
-#: generated tenants collapse into pattern x delay-bucket classes.
-TRAFFIC_SPEEDUP_FLOOR = 2.0
-
-#: --quick interned-throughput floor, as a fraction of the committed
-#: trace section's traffic quanta per CPU-second.
-TRAFFIC_GATE_FRACTION = 0.5
 
 #: worker-pool sizes for the sweep throughput ladder
 SWEEP_JOBS_LADDER = (1, 2, 4, 8)
@@ -800,16 +732,41 @@ def print_arena(section):
     )
 
 
+def arena_gate_ok(section) -> bool:
+    """The arena section's absolute gates: equivalence first (a
+    speedup only counts when the arena matches the per-process run),
+    then the speedup floor.  Prints each failure."""
+    ok = True
+    equiv = section["equivalence"]
+    for metric in ("throughput", "fmar"):
+        err = equiv[f"{metric}_rel_err"]
+        if err > ARENA_EQUIV_TOLERANCE:
+            print(
+                f"  FAIL: arena {metric} rel err {err:.3f} exceeds the "
+                f"{ARENA_EQUIV_TOLERANCE:.2f} equivalence tolerance"
+            )
+            ok = False
+    if section["speedup"] < ARENA_SPEEDUP_FLOOR:
+        print(
+            f"  FAIL: arena speedup {section['speedup']:.2f}x is below "
+            f"the {ARENA_SPEEDUP_FLOOR:.1f}x floor"
+        )
+        ok = False
+    return ok
+
+
 def run_quick_arena_gate(baseline):
     """Arena stepping speedup and throughput vs the committed arena
     section.
 
-    Two floors: the arena-vs-per-process speedup must clear
-    ``ARENA_SPEEDUP_FLOOR`` (batched stepping pays for itself at fleet
-    scale), and arena quanta/sec must stay above
-    ``ARENA_GATE_FRACTION`` of the committed arena section.  A missing
-    or pre-arena baseline skips the throughput comparison; the speedup
-    floor always applies.  Returns ``(section, ok)``.
+    Three gates: the arena run must match the per-process run within
+    ``ARENA_EQUIV_TOLERANCE`` on throughput and FMAR, the
+    arena-vs-per-process speedup must clear ``ARENA_SPEEDUP_FLOOR``
+    (batched stepping pays for itself at fleet scale), and arena
+    quanta/sec must stay above ``ARENA_GATE_FRACTION`` of the committed
+    arena section.  A missing or pre-arena baseline skips the
+    throughput comparison; the other two always apply.  Returns
+    ``(section, ok)``.
     """
     committed = None
     try:
@@ -825,13 +782,8 @@ def run_quick_arena_gate(baseline):
     section["baseline_arena_quanta_per_sec"] = committed
     section["gate_fraction"] = ARENA_GATE_FRACTION
     section["speedup_floor"] = ARENA_SPEEDUP_FLOOR
-    ok = True
-    if section["speedup"] < ARENA_SPEEDUP_FLOOR:
-        print(
-            f"  FAIL: arena speedup {section['speedup']:.2f}x is below "
-            f"the {ARENA_SPEEDUP_FLOOR:.1f}x floor"
-        )
-        ok = False
+    section["equivalence"]["tolerance"] = ARENA_EQUIV_TOLERANCE
+    ok = arena_gate_ok(section)
     if committed is None:
         print("  no committed arena section; throughput gate skipped")
         return section, ok
@@ -852,234 +804,13 @@ def run_quick_arena_gate(baseline):
     return section, ok
 
 
-def class_dedup_setup(duration_ns) -> StandardSetup:
-    return StandardSetup(
-        duration_ns=duration_ns,
-        fast_pages=CLASS_DEDUP_FAST_PAGES,
-        slow_pages=CLASS_DEDUP_SLOW_PAGES,
-        scan_period_ns=CLASS_DEDUP_SCAN_PERIOD_NS,
-        aging_period_ns=CLASS_DEDUP_AGING_PERIOD_NS,
-        quantum_ns=CLASS_DEDUP_QUANTUM_NS,
-    )
-
-
-def _class_dedup_run(duration_ns, intern, observer=None):
-    """One class_dedup pass: build the stack by hand, time only
-    ``engine.run``.
-
-    Registration and initial placement of the 262 K-page fleet are a
-    fixed per-run cost shared by both modes, so timing the whole
-    ``run_experiment`` would dilute the stepping-path gap they differ
-    on (the same reasoning as the scaling ladder's per-quantum
-    metric).  CPU time (``time.process_time``) is the clock: the
-    engine step is single-threaded, and CPU time is immune to the
-    scheduler noise that wall clock picks up on shared runners.
-    """
-    setup = class_dedup_setup(duration_ns)
-    config = setup.run_config(arena=True, fusion=False, intern=intern)
-    policy = setup.build_policy(CLASS_DEDUP_POLICY)
-    processes = build_fleet(
-        setup, "multitenant",
-        n_tenants=CLASS_DEDUP_TENANTS,
-        pages_per_tenant=CLASS_DEDUP_PAGES,
-        delay_step_units=0,
-        n_distinct=CLASS_DEDUP_DISTINCT,
-        base_delay_units=CLASS_DEDUP_BASE_DELAY,
-    )
-    kernel = Kernel(
-        machine=config.build_machine(),
-        rng=RngStreams(config.seed),
-        aging_period_ns=config.aging_period_ns,
-    )
-    for process in processes:
-        kernel.register_process(process)
-    kernel.allocate_initial_placement()
-    kernel.set_policy(policy)
-    engine = QuantumEngine(
-        kernel,
-        quantum_ns=config.quantum_ns,
-        fusion=False,
-        arena=True,
-        intern=intern,
-    )
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    end_ns = engine.run(
-        config.duration_ns,
-        observer=observer,
-        observe_every_ns=config.duration_ns,
-    )
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - wall_start
-    result = summarize_run(policy, kernel, engine, end_ns)
-    return cpu, wall, engine.quanta_run, result
-
-
-def time_class_dedup(duration_ns=CLASS_DEDUP_DURATION_NS, best_of=3):
-    """Interned vs uninterned arena stepping on the shared-table fleet.
-
-    Both runs share (policy, workload, seed, arena stepping, fusion
-    off); they differ only in the engine's ``intern`` switch, so the
-    quanta-per-CPU-second gap is the cost of pricing 1,024 segments
-    individually versus pricing 8 equivalence classes and fanning the
-    results out.  A discarded warm-up pass absorbs one-time costs
-    (distribution-table compilation, numpy dispatch warm-up) that
-    would otherwise land on whichever mode runs first, and the
-    ``best_of`` trials interleave the two modes so slow stretches of a
-    loaded runner hit both equally.
-    """
-    intern_stats = {}
-
-    def observer(eng, _now):
-        arena = eng._arena
-        if arena is not None and arena.intern:
-            intern_stats["n_classes"] = arena.n_classes
-            intern_stats["interned_segments"] = arena.interned_segments
-
-    _class_dedup_run(duration_ns, intern=True, observer=observer)
-
-    best = {True: None, False: None}
-    results = {}
-    for _ in range(max(1, best_of)):
-        for intern in (True, False):
-            cpu, wall, quanta, result = _class_dedup_run(
-                duration_ns, intern=intern, observer=observer
-            )
-            if best[intern] is None or cpu < best[intern][0]:
-                best[intern] = (cpu, wall, quanta)
-                results[intern] = result
-    runs = {}
-    for intern, key in ((True, "interned"), (False, "reference")):
-        cpu, wall, quanta = best[intern]
-        result = results[intern]
-        runs[key] = {
-            "cpu_sec": cpu,
-            "wall_sec": wall,
-            "quanta": quanta,
-            "quanta_per_cpu_sec": quanta / cpu if cpu else 0.0,
-            "throughput_per_sec": result.throughput_per_sec,
-            "fmar": result.fmar,
-        }
-    reference_qps = runs["reference"]["quanta_per_cpu_sec"]
-    return {
-        "config": {
-            "policy": CLASS_DEDUP_POLICY,
-            "workload": "multitenant",
-            "n_tenants": CLASS_DEDUP_TENANTS,
-            "pages_per_tenant": CLASS_DEDUP_PAGES,
-            "n_distinct": CLASS_DEDUP_DISTINCT,
-            "base_delay_units": CLASS_DEDUP_BASE_DELAY,
-            "delay_step_units": 0,
-            "fast_pages": CLASS_DEDUP_FAST_PAGES,
-            "slow_pages": CLASS_DEDUP_SLOW_PAGES,
-            "scan_period_sec": CLASS_DEDUP_SCAN_PERIOD_NS / SECOND,
-            "aging_period_sec": CLASS_DEDUP_AGING_PERIOD_NS / SECOND,
-            "quantum_ms": CLASS_DEDUP_QUANTUM_NS / MILLISECOND,
-            "duration_sec": duration_ns / SECOND,
-            "fusion": False,
-            "timing": "engine.run only, process CPU time",
-        },
-        "interned": runs["interned"],
-        "reference": runs["reference"],
-        "n_classes": intern_stats.get("n_classes"),
-        "interned_segments": intern_stats.get("interned_segments"),
-        "equivalence": {
-            "throughput_rel_err": rel_err(
-                runs["interned"]["throughput_per_sec"],
-                runs["reference"]["throughput_per_sec"],
-            ),
-            "fmar_rel_err": rel_err(
-                runs["interned"]["fmar"], runs["reference"]["fmar"]
-            ),
-        },
-        "speedup": (
-            runs["interned"]["quanta_per_cpu_sec"] / reference_qps
-            if reference_qps else 0.0
-        ),
-    }
-
-
-def print_class_dedup(section):
-    interned = section["interned"]
-    reference = section["reference"]
-    print(
-        f"  class dedup ({CLASS_DEDUP_POLICY}, multitenant "
-        f"x{CLASS_DEDUP_TENANTS}, {section['n_classes']} classes): "
-        f"interned {interned['quanta_per_cpu_sec']:8.1f} q/cpu-s, "
-        f"uninterned {reference['quanta_per_cpu_sec']:8.1f} q/cpu-s, "
-        f"speedup {section['speedup']:.2f}x"
-    )
-
-
-def run_quick_class_dedup_gate(baseline):
-    """Interning speedup and throughput vs the committed class_dedup
-    section.
-
-    Two floors: the interned-vs-uninterned speedup must clear
-    ``CLASS_DEDUP_SPEEDUP_FLOOR`` (equivalence-class stepping pays for
-    itself when 1,024 tenants share 8 tables), and interned quanta per
-    CPU-second must stay above ``CLASS_DEDUP_GATE_FRACTION`` of the
-    committed class_dedup section.  A missing or pre-interning
-    baseline skips the throughput comparison; the speedup floor always
-    applies.  Returns ``(section, ok)``.
-    """
-    committed = None
-    try:
-        committed = float(
-            baseline["class_dedup"]["interned"]["quanta_per_cpu_sec"]
-        )
-    except (KeyError, ValueError, TypeError):
-        pass
-    print(
-        f"  class dedup gate: {CLASS_DEDUP_POLICY}, multitenant "
-        f"x{CLASS_DEDUP_TENANTS} sharing {CLASS_DEDUP_DISTINCT} "
-        f"tables, {CLASS_DEDUP_DURATION_NS / SECOND:.0f}s simulated, "
-        "best of 3"
-    )
-    section = time_class_dedup(best_of=3)
-    print_class_dedup(section)
-    section["baseline_interned_quanta_per_cpu_sec"] = committed
-    section["gate_fraction"] = CLASS_DEDUP_GATE_FRACTION
-    section["speedup_floor"] = CLASS_DEDUP_SPEEDUP_FLOOR
-    ok = True
-    if section["speedup"] < CLASS_DEDUP_SPEEDUP_FLOOR:
-        print(
-            f"  FAIL: interning speedup {section['speedup']:.2f}x is "
-            f"below the {CLASS_DEDUP_SPEEDUP_FLOOR:.1f}x floor"
-        )
-        ok = False
-    if committed is None:
-        print(
-            "  no committed class_dedup section; throughput gate "
-            "skipped"
-        )
-        return section, ok
-    floor = CLASS_DEDUP_GATE_FRACTION * committed
-    measured = section["interned"]["quanta_per_cpu_sec"]
-    print(
-        f"  baseline: {committed:8.1f} interned quanta/cpu-sec "
-        f"(floor {floor:.1f} = {CLASS_DEDUP_GATE_FRACTION:.0%})"
-    )
-    if measured < floor:
-        print(
-            f"  FAIL: {measured:.1f} interned quanta/cpu-sec is below "
-            f"the {CLASS_DEDUP_GATE_FRACTION:.0%} class dedup "
-            "regression floor"
-        )
-        ok = False
-    elif ok:
-        print("  class dedup gate passed")
-    return section, ok
-
-
 def time_trace_compile():
     """Compile throughput on the known-phase synthetic event stream.
 
     The chunks are materialized first so only the compiler itself --
     chunked binning plus change-point segmentation -- is on the clock.
-    CPU time is the clock for the same reason as the class_dedup
-    section: the binner is single-threaded numpy work, and CPU time is
-    immune to scheduler noise on shared runners.
+    CPU time is the clock: the binner is single-threaded numpy work,
+    and CPU time is immune to scheduler noise on shared runners.
     """
     chunks = list(synthetic_event_stream(
         TRACE_COMPILE_EVENTS,
@@ -1207,147 +938,11 @@ def time_trace_replay(best_of=1):
     }
 
 
-def traffic_setup(duration_ns) -> StandardSetup:
-    return StandardSetup(
-        duration_ns=duration_ns,
-        fast_pages=TRAFFIC_FAST_PAGES,
-        slow_pages=TRAFFIC_SLOW_PAGES,
-        scan_period_ns=TRAFFIC_SCAN_PERIOD_NS,
-        aging_period_ns=TRAFFIC_AGING_PERIOD_NS,
-        quantum_ns=TRAFFIC_QUANTUM_NS,
-    )
-
-
-def _traffic_run(duration_ns, intern, observer=None):
-    """One traffic-fleet pass: the ``_class_dedup_run`` stack (hand
-    built, only ``engine.run`` on the process-CPU clock) with the
-    generated tenant fleet in place of the flat multitenant one."""
-    setup = traffic_setup(duration_ns)
-    config = setup.run_config(arena=True, fusion=False, intern=intern)
-    policy = setup.build_policy(TRAFFIC_POLICY)
-    processes = build_fleet(
-        setup, "traffic",
-        n_tenants=TRAFFIC_TENANTS,
-        pages_per_tenant=TRAFFIC_PAGES,
-        n_patterns=TRAFFIC_PATTERNS,
-        base_delay_units=TRAFFIC_BASE_DELAY,
-    )
-    kernel = Kernel(
-        machine=config.build_machine(),
-        rng=RngStreams(config.seed),
-        aging_period_ns=config.aging_period_ns,
-    )
-    for process in processes:
-        kernel.register_process(process)
-    kernel.allocate_initial_placement()
-    kernel.set_policy(policy)
-    engine = QuantumEngine(
-        kernel,
-        quantum_ns=config.quantum_ns,
-        fusion=False,
-        arena=True,
-        intern=intern,
-    )
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    end_ns = engine.run(
-        config.duration_ns,
-        observer=observer,
-        observe_every_ns=config.duration_ns,
-    )
-    cpu = time.process_time() - cpu_start
-    wall = time.perf_counter() - wall_start
-    result = summarize_run(policy, kernel, engine, end_ns)
-    return cpu, wall, engine.quanta_run, result
-
-
-def time_trace_traffic(duration_ns=TRAFFIC_DURATION_NS, best_of=3):
-    """Interned vs uninterned arena stepping on the traffic fleet.
-
-    The same discarded-warm-up + interleaved best-of protocol as
-    ``time_class_dedup``; the difference is the fleet.  Here the 1,024
-    tenants come out of the traffic generator -- Zipf popularity,
-    diurnal load on a delay-bucket ladder, shared pattern tables -- so
-    the equivalence classes are emergent (pattern x delay bucket)
-    rather than scripted, and the speedup shows interning paying off
-    on generated fleet structure, not just on a hand-shared table set.
-    """
-    intern_stats = {}
-
-    def observer(eng, _now):
-        arena = eng._arena
-        if arena is not None and arena.intern:
-            intern_stats["n_classes"] = arena.n_classes
-            intern_stats["interned_segments"] = arena.interned_segments
-
-    _traffic_run(duration_ns, intern=True, observer=observer)
-
-    best = {True: None, False: None}
-    results = {}
-    for _ in range(max(1, best_of)):
-        for intern in (True, False):
-            cpu, wall, quanta, result = _traffic_run(
-                duration_ns, intern=intern, observer=observer
-            )
-            if best[intern] is None or cpu < best[intern][0]:
-                best[intern] = (cpu, wall, quanta)
-                results[intern] = result
-    runs = {}
-    for intern, key in ((True, "interned"), (False, "reference")):
-        cpu, wall, quanta = best[intern]
-        result = results[intern]
-        runs[key] = {
-            "cpu_sec": cpu,
-            "wall_sec": wall,
-            "quanta": quanta,
-            "quanta_per_cpu_sec": quanta / cpu if cpu else 0.0,
-            "throughput_per_sec": result.throughput_per_sec,
-            "fmar": result.fmar,
-        }
-    reference_qps = runs["reference"]["quanta_per_cpu_sec"]
-    return {
-        "config": {
-            "policy": TRAFFIC_POLICY,
-            "workload": "traffic",
-            "n_tenants": TRAFFIC_TENANTS,
-            "pages_per_tenant": TRAFFIC_PAGES,
-            "n_patterns": TRAFFIC_PATTERNS,
-            "base_delay_units": TRAFFIC_BASE_DELAY,
-            "fast_pages": TRAFFIC_FAST_PAGES,
-            "slow_pages": TRAFFIC_SLOW_PAGES,
-            "scan_period_sec": TRAFFIC_SCAN_PERIOD_NS / SECOND,
-            "aging_period_sec": TRAFFIC_AGING_PERIOD_NS / SECOND,
-            "quantum_ms": TRAFFIC_QUANTUM_NS / MILLISECOND,
-            "duration_sec": duration_ns / SECOND,
-            "fusion": False,
-            "timing": "engine.run only, process CPU time",
-        },
-        "interned": runs["interned"],
-        "reference": runs["reference"],
-        "n_classes": intern_stats.get("n_classes"),
-        "interned_segments": intern_stats.get("interned_segments"),
-        "equivalence": {
-            "throughput_rel_err": rel_err(
-                runs["interned"]["throughput_per_sec"],
-                runs["reference"]["throughput_per_sec"],
-            ),
-            "fmar_rel_err": rel_err(
-                runs["interned"]["fmar"], runs["reference"]["fmar"]
-            ),
-        },
-        "speedup": (
-            runs["interned"]["quanta_per_cpu_sec"] / reference_qps
-            if reference_qps else 0.0
-        ),
-    }
-
-
-def time_trace(best_of=3):
-    """The whole trace section: compile, replay, traffic fleet."""
+def time_trace():
+    """The whole trace section: compile and replay."""
     return {
         "compile": time_trace_compile(),
         "replay": time_trace_replay(),
-        "traffic": time_trace_traffic(best_of=best_of),
     }
 
 
@@ -1370,64 +965,37 @@ def print_trace(section):
         f"speedup {replay['speedup']:.2f}x, "
         f"fidelity={'ok' if equiv['ok'] else 'FAIL'}"
     )
-    traffic = section["traffic"]
-    interned = traffic["interned"]
-    reference = traffic["reference"]
-    print(
-        f"  traffic fleet ({TRAFFIC_POLICY}, "
-        f"x{TRAFFIC_TENANTS}, {traffic['n_classes']} classes): "
-        f"interned {interned['quanta_per_cpu_sec']:8.1f} q/cpu-s, "
-        f"uninterned {reference['quanta_per_cpu_sec']:8.1f} q/cpu-s, "
-        f"speedup {traffic['speedup']:.2f}x"
-    )
 
 
 def run_quick_trace_gate(baseline):
-    """Trace compile, replay, and traffic floors vs the committed
-    trace section.
+    """Trace compile and replay floors vs the committed trace section.
 
-    Five floors: compile throughput must clear ``TRACE_COMPILE_FLOOR``
+    Four floors: compile throughput must clear ``TRACE_COMPILE_FLOOR``
     events per CPU-second absolutely and
     ``TRACE_COMPILE_GATE_FRACTION`` of the committed section; the
     fused replay's fusion ratio must clear
     ``TRACE_FUSION_RATIO_FLOOR`` and its fused-vs-per-quantum rel
-    errors must stay inside ``TRACE_EQUIV_TOLERANCE``; and the traffic
-    fleet's interning speedup must clear ``TRAFFIC_SPEEDUP_FLOOR``
-    (with interned quanta per CPU-second above
-    ``TRAFFIC_GATE_FRACTION`` of the committed section).  A missing or
-    pre-trace baseline skips the two committed-value comparisons; the
+    errors must stay inside ``TRACE_EQUIV_TOLERANCE``.  A missing or
+    pre-trace baseline skips the committed-value comparison; the
     absolute floors always apply.  Returns ``(section, ok)``.
     """
     committed_compile = None
-    committed_traffic = None
     try:
         committed_compile = float(
             baseline["trace"]["compile"]["events_per_cpu_sec"]
         )
     except (KeyError, ValueError, TypeError):
         pass
-    try:
-        committed_traffic = float(
-            baseline["trace"]["traffic"]["interned"]["quanta_per_cpu_sec"]
-        )
-    except (KeyError, ValueError, TypeError):
-        pass
     print(
         f"  trace gate: compile {TRACE_COMPILE_EVENTS:,d} events, "
-        f"replay {TRACE_REPLAY_POLICY}, traffic x{TRAFFIC_TENANTS}, "
-        "best of 3"
+        f"replay {TRACE_REPLAY_POLICY}"
     )
-    section = time_trace(best_of=3)
+    section = time_trace()
     print_trace(section)
     section["compile"]["floor_events_per_cpu_sec"] = TRACE_COMPILE_FLOOR
     section["compile"]["baseline_events_per_cpu_sec"] = committed_compile
     section["compile"]["gate_fraction"] = TRACE_COMPILE_GATE_FRACTION
     section["replay"]["fusion_ratio_floor"] = TRACE_FUSION_RATIO_FLOOR
-    section["traffic"]["baseline_interned_quanta_per_cpu_sec"] = (
-        committed_traffic
-    )
-    section["traffic"]["gate_fraction"] = TRAFFIC_GATE_FRACTION
-    section["traffic"]["speedup_floor"] = TRAFFIC_SPEEDUP_FLOOR
     ok = True
     measured_compile = section["compile"]["events_per_cpu_sec"]
     if measured_compile < TRACE_COMPILE_FLOOR:
@@ -1460,27 +1028,10 @@ def run_quick_trace_gate(baseline):
             "the per-quantum replay"
         )
         ok = False
-    if section["traffic"]["speedup"] < TRAFFIC_SPEEDUP_FLOOR:
-        print(
-            "  FAIL: traffic interning speedup "
-            f"{section['traffic']['speedup']:.2f}x is below the "
-            f"{TRAFFIC_SPEEDUP_FLOOR:.1f}x floor"
-        )
-        ok = False
-    if committed_traffic is not None:
-        floor = TRAFFIC_GATE_FRACTION * committed_traffic
-        measured = section["traffic"]["interned"]["quanta_per_cpu_sec"]
-        if measured < floor:
-            print(
-                f"  FAIL: {measured:.1f} interned traffic "
-                "quanta/cpu-sec is below the "
-                f"{TRAFFIC_GATE_FRACTION:.0%} regression floor"
-            )
-            ok = False
-    if committed_compile is None or committed_traffic is None:
+    if committed_compile is None:
         print(
             "  no committed trace section; committed-value "
-            "comparisons skipped"
+            "comparison skipped"
         )
     if ok:
         print("  trace gate passed")
@@ -1814,9 +1365,6 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
         baseline, duration_ns
     )
     arena_section, arena_ok = run_quick_arena_gate(baseline)
-    class_dedup_section, class_dedup_ok = run_quick_class_dedup_gate(
-        baseline
-    )
     trace_section, trace_ok = run_quick_trace_gate(baseline)
 
     this_host = provenance()
@@ -1853,15 +1401,13 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
         "sweep_gate": sweep_section,
         "fusion_gate": fusion_section,
         "arena_gate": arena_section,
-        "class_dedup_gate": class_dedup_section,
         "trace_gate": trace_section,
     }
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"  wrote {out}")
     all_ok = (
-        quanta_ok and sweep_ok and fusion_ok and arena_ok
-        and class_dedup_ok and trace_ok
+        quanta_ok and sweep_ok and fusion_ok and arena_ok and trace_ok
     )
     return 0 if all_ok else 1
 
@@ -1901,14 +1447,12 @@ def main(argv=None) -> int:
             "section, the fused-vs-per-quantum speedup falls below "
             f"{FUSION_SPEEDUP_FLOOR:.1f}x, the arena-vs-per-process "
             f"speedup falls below {ARENA_SPEEDUP_FLOOR:.1f}x, the "
-            "interned-vs-uninterned class dedup speedup falls below "
-            f"{CLASS_DEDUP_SPEEDUP_FLOOR:.1f}x, trace compile "
-            "throughput falls below "
-            f"{TRACE_COMPILE_FLOOR / 1e6:.0f}M events/cpu-sec, the "
+            "arena run drifts more than "
+            f"{ARENA_EQUIV_TOLERANCE:.0%} from the per-process run on "
+            "throughput or FMAR, trace compile throughput falls below "
+            f"{TRACE_COMPILE_FLOOR / 1e6:.0f}M events/cpu-sec, or the "
             "replayed trace's fusion ratio falls below "
-            f"{TRACE_FUSION_RATIO_FLOOR:.0%}, or the traffic fleet's "
-            "interning speedup falls below "
-            f"{TRAFFIC_SPEEDUP_FLOOR:.1f}x"
+            f"{TRACE_FUSION_RATIO_FLOOR:.0%}"
         ),
     )
     parser.add_argument(
@@ -2018,8 +1562,6 @@ def main(argv=None) -> int:
     print_fusion(fusion)
     arena = time_arena()
     print_arena(arena)
-    class_dedup = time_class_dedup()
-    print_class_dedup(class_dedup)
     trace = time_trace()
     print_trace(trace)
 
@@ -2053,7 +1595,6 @@ def main(argv=None) -> int:
         "tournament": tournament,
         "fusion": fusion,
         "arena": arena,
-        "class_dedup": class_dedup,
         "trace": trace,
         "scaling": scaling,
         "profile": optimized["profile"],
@@ -2069,18 +1610,7 @@ def main(argv=None) -> int:
     if not scaling_ok:
         print("  FAIL: scaling ladder equivalence/sublinearity gate")
         ok = False
-    if arena["speedup"] < ARENA_SPEEDUP_FLOOR:
-        print(
-            f"  FAIL: arena speedup {arena['speedup']:.2f}x is below "
-            f"the {ARENA_SPEEDUP_FLOOR:.1f}x floor"
-        )
-        ok = False
-    if class_dedup["speedup"] < CLASS_DEDUP_SPEEDUP_FLOOR:
-        print(
-            "  FAIL: interning speedup "
-            f"{class_dedup['speedup']:.2f}x is below the "
-            f"{CLASS_DEDUP_SPEEDUP_FLOOR:.1f}x floor"
-        )
+    if not arena_gate_ok(arena):
         ok = False
     if trace["compile"]["events_per_cpu_sec"] < TRACE_COMPILE_FLOOR:
         print(
@@ -2104,13 +1634,6 @@ def main(argv=None) -> int:
         print(
             "  FAIL: fused replay is not statistically equivalent to "
             "the per-quantum replay"
-        )
-        ok = False
-    if trace["traffic"]["speedup"] < TRAFFIC_SPEEDUP_FLOOR:
-        print(
-            "  FAIL: traffic interning speedup "
-            f"{trace['traffic']['speedup']:.2f}x is below the "
-            f"{TRAFFIC_SPEEDUP_FLOOR:.1f}x floor"
         )
         ok = False
     return 0 if ok else 1

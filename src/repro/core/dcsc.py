@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.cit import CIT_BUCKETS, bucket_upper_bound_ns, cit_bucket
 from repro.core.slots import SlotTable
 from repro.mem.tier import FAST_TIER, SLOW_TIER
-from repro.sim.jit import dcsc_fold
+from repro.sim.kernels import dcsc_fold
 from repro.sim.timeunits import SECOND
 from repro.vm.fault import FleetFaultBatch
 from repro.vm.process import SimProcess

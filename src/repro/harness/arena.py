@@ -62,49 +62,6 @@ multi-process arenas share one aggregate fault stream (the
 per-process mode statistically (same laws), not bit for bit.
 ``arena=False`` keeps the per-process path as the reference mode for
 equivalence gating.
-
-Distribution interning (``docs/SIMULATION.md`` section 8)
----------------------------------------------------------
-
-Fleet-shaped experiments run many tenants over *identical* access
-distributions (the compiled-table cache in :mod:`repro.workloads.base`
-already hands every same-parameter workload the same frozen array).
-With ``intern`` enabled (the default) a multi-segment arena groups its
-stationary segments into **equivalence classes** keyed on the identity
-of their ``probs`` array plus the profile scalars ``(write_fraction,
-delay)``, and replaces the per-segment steady-state work with
-per-class work:
-
-* *pricing*: one class-level mass aggregation (the mean of the member
-  tier-mass rows) feeds a single scalar pricing fold per class; the
-  resulting ``mean_lat``/``per_cost`` scatter to every member.
-  Segments outside any class re-price through the masked
-  :func:`repro.sim.jit.price_fold` kernel **only when dirty** -- a
-  per-class/per-segment dirty bit rides the epoch witness cells that
-  every ``PageState`` writes through on mutation, so unchanged rows
-  skip re-pricing entirely,
-* *gather*: the O(n_segs) Python gather loop collapses to vectorised
-  compares over the witness cell matrix (placement epoch, protect
-  epoch, protected count) and the pending-debt mirror vector; only
-  non-stationary workloads keep a per-row ``advance`` call,
-* *ledger*: members of a class share one ``probs`` reference, so the
-  concatenated open run is a merged ``(probs, sum_i n_i)`` run
-  (:meth:`class_ledger_runs`); each segment's share drains lazily with
-  its own ``n_i`` -- exact thinning by linearity of
-  ``defer_accesses``,
-* *faults*: the aggregate Bernoulli-head + Poisson-tail draw reuses
-  cached per-segment fault plans keyed on the protect-epoch witness,
-  and partitions draws to members through the existing two-level
-  inverse-CDF -- the same RNG sequence as the uninterned batched draw,
-  bit for bit.
-
-Contract: when every class is a singleton (all distributions distinct)
-the interned step consumes the same IEEE-754 operations and RNG stream
-as the uninterned arena step, so trajectories are **bit-identical**;
-multi-member classes aggregate pricing across members and match the
-uninterned arena statistically.  ``intern=False``
-(``RunConfig.intern`` / ``--no-intern``) keeps the uninterned step as
-the reference mode.
 """
 
 from __future__ import annotations
@@ -117,8 +74,7 @@ from repro.analysis.latency import LatencyMixture
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.policies.base import TieringPolicy
-from repro.sim.jit import price_fold, searchsorted_right
-from repro.workloads.base import Workload, distribution_fingerprint
+from repro.sim.kernels import searchsorted_right
 
 
 class ProcessArena:
@@ -232,49 +188,9 @@ class ProcessArena:
         self._seg_buffers = [
             engine._buffers_for(p) for p in self.processes
         ]
-        #: vector mirror of ``mass_epoch`` (interned mode only); kept
-        #: ``None`` in reference mode so the write-through helper is a
-        #: single cheap branch there
-        self._mass_epoch_vec: Optional[np.ndarray] = None
-        #: distribution-interning layer (built after the masses when the
-        #: engine requests it and the arena has more than one segment;
-        #: single-segment arenas keep the reference step, which is
-        #: already bit-identical to the per-process path)
-        self.intern = (
-            bool(getattr(engine, "intern", True)) and n_segs > 1
-        )
-        self.n_classes = 0
-        self.interned_segments = 0
-        #: monotonic re-pricing counters, drained by the engine's obs
-        #: block through :meth:`take_reprice_counters`
-        self.repriced_segments = 0
-        self.reprice_skipped_segments = 0
-        # Steady-state quantum cache (interned step only): when no
-        # input of the pricing / accumulation phases changed since the
-        # previous quantum, the cached vectors are bitwise what
-        # recomputation would produce, so the recompute dispatches are
-        # skipped.  Any mutation -- mass repair, debt drain, reprice,
-        # retirement, distribution swap, latency/bandwidth change, or a
-        # different quantum length -- drops the flag and the next step
-        # recomputes everything into the caches.
-        self._ss_valid = False
-        self._ss_quantum = -1
-        self._budget_fill = -1.0
-        self._budget_tainted = True
-        self._fast_prod = np.zeros(n_segs, dtype=np.float64)
-        self._user_prod = np.zeros(n_segs, dtype=np.float64)
-        self._stall_prod = np.zeros(n_segs, dtype=np.float64)
         self._last_reads = np.zeros(n_segs, dtype=np.float64)
-        self._bwm_cache = np.full(n_tiers, np.nan, dtype=np.float64)
-        # Per-(tier, read/write) all-zero flags for the latency fold:
-        # counts are non-negative, so adding an all-zero vector is a
-        # bitwise no-op the fold may skip (the flush skips zero counts
-        # regardless).  Refreshed whenever the fold recomputes.
-        self._fold_zero = [False] * (2 * n_tiers)
         self._build_masses()
         self._attach_ledger_sources()
-        if self.intern:
-            self._build_intern()
 
     # ------------------------------------------------------------------
     # Construction / teardown
@@ -323,104 +239,6 @@ class ProcessArena:
                 self._make_drain(i), self._make_has_pending(i)
             )
 
-    def _build_intern(self) -> None:
-        """Build the distribution-interning layer.
-
-        Attaches the witness cell matrix / debt mirror to every
-        segment's page state and process, classifies segments into
-        *static* rows (stationary :class:`~repro.workloads.base.Workload`
-        subclasses with an identity-stable distribution -- they skip the
-        per-quantum ``advance``/``access_distribution`` calls, which are
-        no-ops for them) and *dynamic* rows (everything else, stepped
-        exactly as the reference gather loop does), then groups static
-        rows into equivalence classes keyed on ``(id(probs),
-        write_fraction, delay)``.  Classes need at least two members;
-        everything else stays a singleton and keeps the bit-identical
-        per-segment pricing.
-        """
-        n_segs = self.n_segs
-        cells = self._cells = np.zeros((3, n_segs), dtype=np.int64)
-        debt = self._debt_cells = np.zeros(n_segs, dtype=np.float64)
-        for i, proc in enumerate(self.processes):
-            proc.pages.set_witness_cells(cells, i)
-            proc.set_debt_cell(debt, i)
-        self._mass_epoch_vec = np.array(self.mass_epoch, dtype=np.int64)
-        self._stale_buf = np.zeros(n_segs, dtype=bool)
-        self._elig_buf = np.zeros(n_segs, dtype=bool)
-        self._prot_buf = np.zeros(n_segs, dtype=bool)
-        # Witness storage becomes int64 vectors: the fusion update is
-        # then two vector copies from the cell matrix per quantum
-        # instead of a per-row loop.
-        self.witness_epoch = np.full(n_segs, -1, dtype=np.int64)
-        self.witness_protect_epoch = np.full(n_segs, -1, dtype=np.int64)
-        # Pricing caches: mean_lat / per_cost persist across quanta and
-        # only dirty rows re-fold.  The latency tables are value-compared
-        # (the engine rebuilds the list objects every step).
-        self._price_dirty = np.ones(n_segs, dtype=bool)
-        self._lat_read_cache: Optional[List[float]] = None
-        self._lat_write_cache: Optional[List[float]] = None
-        self._read_lat_arr = np.zeros(self.n_tiers, dtype=np.float64)
-        self._write_lat_arr = np.zeros(self.n_tiers, dtype=np.float64)
-        # Static/dynamic split and the equivalence classes.
-        self._dynamic_rows = []
-        static_rows = []
-        for row in self._rows:
-            i, proc, workload, pages = row
-            if (
-                isinstance(workload, Workload)
-                and type(workload).advance is Workload.advance
-                and workload.access_distribution() is self.probs_refs[i]
-            ):
-                static_rows.append(row)
-            else:
-                self._dynamic_rows.append(row)
-        groups: Dict[Any, List[int]] = {}
-        for row in static_rows:
-            i = row[0]
-            key = (
-                id(self.probs_refs[i]),
-                float(self._wf[i]),
-                float(self._delay[i]),
-            )
-            groups.setdefault(key, []).append(i)
-        self.class_members: List[np.ndarray] = []
-        self.class_probs: List[np.ndarray] = []
-        self.class_fingerprints: List[Any] = []
-        self._class_of = np.full(n_segs, -1, dtype=np.int64)
-        class_wf: List[float] = []
-        class_delay: List[float] = []
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            ref = self.probs_refs[members[0]]
-            member_vec = np.array(members, dtype=np.int64)
-            self._class_of[member_vec] = len(self.class_members)
-            self.class_members.append(member_vec)
-            self.class_probs.append(ref)
-            self.class_fingerprints.append(distribution_fingerprint(ref))
-            class_wf.append(float(self._wf[members[0]]))
-            class_delay.append(float(self._delay[members[0]]))
-        self.n_classes = len(self.class_members)
-        self._class_wf = np.array(class_wf, dtype=np.float64)
-        self._class_rf = 1.0 - self._class_wf
-        self._class_delay = np.array(class_delay, dtype=np.float64)
-        self._class_mass = np.zeros(
-            (self.n_classes, self.n_tiers), dtype=np.float64
-        )
-        self._class_dirty = np.ones(self.n_classes, dtype=bool)
-        self._interned_idx = np.flatnonzero(self._class_of >= 0)
-        self._single_idx = np.flatnonzero(self._class_of < 0)
-        self.interned_segments = int(self._interned_idx.size)
-        # Cached fault plans: per-segment active/dormant split keyed on
-        # the protect-epoch witness; -1 marks "never built".
-        self._fault_entry_epoch = np.full(n_segs, -1, dtype=np.int64)
-        self._active_size = np.zeros(n_segs, dtype=np.int64)
-        self._dormant_mass_vec = np.zeros(n_segs, dtype=np.float64)
-        self._entry_protected: List[Optional[np.ndarray]] = (
-            [None] * n_segs
-        )
-        self._active_cache: Optional[tuple] = None
-
     def _make_drain(self, i: int):
         def drain() -> None:
             self._drain_seg(i)
@@ -444,9 +262,6 @@ class ProcessArena:
         for i, proc in enumerate(self.processes):
             self._drain_seg(i)
             proc.pages.set_ledger_source(None, None)
-            if self.intern:
-                proc.pages.set_witness_cells(None)
-                proc.set_debt_cell(None)
 
     def flush_stats(self) -> None:
         """Fold the lazily accumulated quantum stats into each process.
@@ -497,19 +312,6 @@ class ProcessArena:
     # Tier-mass maintenance (the per-segment analogue of
     # ``QuantumEngine._tier_mass``)
     # ------------------------------------------------------------------
-    def _note_mass_update(self, i: int, epoch: int) -> None:
-        """Write-through for ``mass_epoch``: the interned step's vector
-        mirror tracks the list, and any mass change dirties the row's
-        price (and its class, when interned) for the next fold."""
-        self.mass_epoch[i] = epoch
-        vec = self._mass_epoch_vec
-        if vec is not None:
-            vec[i] = epoch
-            self._price_dirty[i] = True
-            c = self._class_of[i]
-            if c >= 0:
-                self._class_dirty[c] = True
-
     def _repair_mass(self, i: int, proc: Any, probs: np.ndarray) -> None:
         pages = proc.pages
         if self.probs_refs[i] is probs and self.mass_epoch[i] != -1:
@@ -539,7 +341,7 @@ class ProcessArena:
                 # removes drift.
                 np.maximum(row, 0.0, out=row)
                 self.mass_resync[i] -= len(moves)
-                self._note_mass_update(i, pages.epoch)
+                self.mass_epoch[i] = pages.epoch
                 return
         self._recount_mass(i, pages, probs)
 
@@ -553,7 +355,7 @@ class ProcessArena:
             minlength=self.n_tiers,
         )
         self.concat_tier[lo:hi] = pages.tier
-        self._note_mass_update(i, pages.epoch)
+        self.mass_epoch[i] = pages.epoch
         self.mass_resync[i] = self.engine.MASS_RESYNC_MOVES
 
     def _repair_mass_many(self, stale: List[Any]) -> None:
@@ -613,7 +415,7 @@ class ProcessArena:
                     row[new_tier] += moved
                     concat_tier[gvpns] = np.int8(new_tier)
             self.mass_resync[i] -= len(moves)
-            self._note_mass_update(i, pages.epoch)
+            self.mass_epoch[i] = pages.epoch
             replayed = True
         if replayed:
             # Same drift clamp as the sequential replay (see
@@ -645,7 +447,6 @@ class ProcessArena:
         retirement).  Their ledger share stays attached -- open runs
         drain lazily on the next counter read -- and their mask entry
         zeroes them out of every pricing vector."""
-        self._ss_valid = False
         self.flush_stats()
         self._rows = [
             row for row in self._rows if not row[1].finished
@@ -654,30 +455,6 @@ class ProcessArena:
             row for row in self._rows
             if row[1].target_accesses is not None
         ]
-        if self.intern:
-            live = self._live_mask
-            self._dynamic_rows = [
-                row for row in self._dynamic_rows
-                if not row[1].finished
-            ]
-            for c, members in enumerate(self.class_members):
-                if not members.size or bool(live[members].all()):
-                    continue
-                alive = live[members]
-                self._class_of[members[~alive]] = -1
-                kept = members[alive]
-                if kept.size < 2:
-                    # A one-member class dissolves back to a singleton;
-                    # its cached price is the class mean, so force a
-                    # per-segment refold.
-                    self._class_of[kept] = -1
-                    self._price_dirty[kept] = True
-                    kept = kept[:0]
-                self.class_members[c] = kept
-                self._class_dirty[c] = True
-            self._interned_idx = np.flatnonzero(self._class_of >= 0)
-            self._single_idx = np.flatnonzero(self._class_of < 0)
-            self.interned_segments = int(self._interned_idx.size)
 
     def _swap_probs(self, i: int, probs: np.ndarray, workload: Any) -> None:
         """Phase change: close segment ``i``'s open ledger run against
@@ -685,17 +462,13 @@ class ProcessArena:
         scalars (write fraction, compute delay) refresh here too -- a
         workload that changes them must swap its distribution object,
         the same identity contract the fusion witness relies on."""
-        self._ss_valid = False
         self._drain_seg(i)
         lo, hi = int(self.seg_starts[i]), int(self.seg_starts[i + 1])
         self.concat_probs[lo:hi] = probs
         self.probs_refs[i] = probs
         self._wf[i] = workload.write_fraction
         self._delay[i] = workload.delay_ns_per_access
-        self._note_mass_update(i, -1)  # force recount
-        if self.intern:
-            # The cached fault plan holds the old distribution.
-            self._fault_entry_epoch[i] = -1
+        self.mass_epoch[i] = -1  # force recount
 
     def _resolve_policy_hook(self, policy: Any):
         """The policy's ``on_quantum`` binding, or ``None`` when it keeps
@@ -715,14 +488,6 @@ class ProcessArena:
     def step(self, start_ns: int, quantum_ns: int) -> np.ndarray:
         """Execute one (macro-)quantum for every process; returns the
         fleet's per-tier byte demand."""
-        if self.intern:
-            return self._step_interned(start_ns, quantum_ns)
-        return self._step_reference(start_ns, quantum_ns)
-
-    def _step_reference(self, start_ns: int, quantum_ns: int) -> np.ndarray:
-        """The uninterned per-segment step (the PR 8 arena path): the
-        bit-identity reference for singleton-class interned runs and the
-        baseline the ``class_dedup`` bench speedup is measured against."""
         engine = self.engine
         profiler = self.kernel.profiler
         rows = self._rows
@@ -927,492 +692,6 @@ class ProcessArena:
         return self._demand_out
 
     # ------------------------------------------------------------------
-    # The interned step
-    # ------------------------------------------------------------------
-    def _step_interned(self, start_ns: int, quantum_ns: int) -> np.ndarray:
-        """The equivalence-class step: O(dynamic + dirty + classes)
-        Python work per quantum, vectorised over the witness cells for
-        everything else.
-
-        Phase structure, FP operation order, and RNG consumption match
-        :meth:`_step_reference` exactly for every segment outside a
-        multi-member class (the singleton bit-identity contract);
-        members of a class share one aggregated price.
-        """
-        engine = self.engine
-        profiler = self.kernel.profiler
-        refs = self.probs_refs
-        procs = self.processes
-        cells = self._cells
-        budget, n_vec = self._budget, self._n
-        live_mask = self._live_mask
-        retired = False
-
-        # ---- Phase 1: gather (vectorised staleness/debt detection) ----------
-        if profiler is not None:
-            profiler.push("arena_build")
-        if quantum_ns != self._ss_quantum:
-            self._ss_valid = False
-            self._ss_quantum = quantum_ns
-        if self._budget_tainted or self._budget_fill != float(quantum_ns):
-            budget.fill(float(quantum_ns))
-            self._budget_fill = float(quantum_ns)
-            self._budget_tainted = False
-        for row in self._dynamic_rows:
-            i, proc, workload, pages = row
-            if proc.finished:
-                live_mask[i] = False
-                retired = True
-                continue
-            workload.advance(start_ns)
-            probs = workload.access_distribution()
-            if probs is not refs[i]:
-                self._swap_probs(i, probs, workload)
-        stale_buf = self._stale_buf
-        np.not_equal(cells[0], self._mass_epoch_vec, out=stale_buf)
-        stale_buf &= live_mask
-        stale_idx = np.flatnonzero(stale_buf)
-        if stale_idx.size:
-            self._repair_mass_many(
-                [(int(k), procs[k]) for k in stale_idx.tolist()]
-            )
-            self._ss_valid = False
-        debt = self._debt_cells
-        if debt.any():
-            self._ss_valid = False
-            self._budget_tainted = True
-            for k in np.flatnonzero(debt).tolist():
-                if live_mask[k]:
-                    budget[k] = quantum_ns - procs[
-                        k
-                    ].drain_pending_kernel(quantum_ns)
-        if profiler is not None:
-            profiler.pop()
-        if retired:
-            self._retire_rows()
-            retired = False
-        if not self._rows:
-            self._demand_out.fill(0.0)
-            return self._demand_out
-
-        # ---- Phase 2: pricing (dirty rows and classes only) -----------------
-        if profiler is not None:
-            profiler.push("segment_fold")
-        read_lats = engine._read_lat_list
-        write_lats = engine._write_lat_list
-        if (
-            read_lats != self._lat_read_cache
-            or write_lats != self._lat_write_cache
-        ):
-            # The engine rebuilds these list objects every step, so the
-            # cache compares values; contention keeps them stable while
-            # no migration traffic flows.
-            self._lat_read_cache = list(read_lats)
-            self._lat_write_cache = list(write_lats)
-            self._read_lat_arr[:] = read_lats
-            self._write_lat_arr[:] = write_lats
-            self._price_dirty[:] = True
-            if self.n_classes:
-                self._class_dirty[:] = True
-            self._ss_valid = False
-        wf, rf, delay = self._wf, self._rf, self._delay
-        if not self._ss_valid:
-            # ``rf`` only drifts with ``wf``, and every ``wf`` writer
-            # (swap, retire, rebuild) drops the steady-state flag.
-            np.subtract(1.0, wf, out=rf)
-        mass = self.mass
-        mean_lat, per_cost = self._mean_lat, self._per_cost
-        dirty = self._price_dirty
-        class_dirty = self._class_dirty
-        repriced_before = self.repriced_segments
-        for c in range(self.n_classes):
-            members = self.class_members[c]
-            if not members.size:
-                continue
-            if class_dirty[c]:
-                # One class-level mass aggregation (the member mean)
-                # feeds one scalar pricing fold; the price scatters to
-                # every member.
-                cm = self._class_mass[c]
-                np.sum(mass[members], axis=0, out=cm)
-                cm /= members.size
-                crf = self._class_rf[c]
-                cwf = self._class_wf[c]
-                lat = 0.0
-                for tier_id in range(self.n_tiers):
-                    lat += cm[tier_id] * (
-                        crf * read_lats[tier_id]
-                        + cwf * write_lats[tier_id]
-                    )
-                mean_lat[members] = lat
-                per_cost[members] = lat + self._class_delay[c]
-                class_dirty[c] = False
-                self.repriced_segments += int(members.size)
-            else:
-                self.reprice_skipped_segments += int(members.size)
-        single = self._single_idx
-        if single.size:
-            refold = single[dirty[single]]
-            if refold.size:
-                # Masked refold, same per-element FP sequence as the
-                # reference fold -- cached rows equal recomputed rows
-                # bit for bit.
-                price_fold(
-                    mass,
-                    rf,
-                    wf,
-                    self._read_lat_arr,
-                    self._write_lat_arr,
-                    refold,
-                    mean_lat,
-                )
-                per_cost[refold] = mean_lat[refold] + delay[refold]
-                dirty[refold] = False
-                self.repriced_segments += int(refold.size)
-            self.reprice_skipped_segments += int(
-                single.size - refold.size
-            )
-        if self.repriced_segments != repriced_before:
-            self._ss_valid = False
-        if not self._ss_valid:
-            np.maximum(budget, 0.0, out=budget)
-            n_vec.fill(0.0)
-            np.divide(
-                budget, per_cost, out=n_vec, where=per_cost > 0.0
-            )
-            np.multiply(n_vec, live_mask, out=n_vec)
-            # Zero-mass lanes (idle trace phases) complete no accesses;
-            # sign() of the non-negative mass total is an exact 1.0 for
-            # lanes with traffic (see _step_reference).
-            zm = self._tmp
-            np.sum(self.mass, axis=1, out=zm)
-            np.sign(zm, out=zm)
-            np.multiply(n_vec, zm, out=n_vec)
-        if profiler is not None:
-            profiler.pop()
-
-        # ---- Phase 3: aggregate fault draw ----------------------------------
-        faults = self._faults
-        have_faults = False
-        elig_buf = self._elig_buf
-        np.greater(n_vec, 0.0, out=elig_buf)
-        np.greater(cells[2], 0, out=self._prot_buf)
-        elig_buf &= self._prot_buf
-        eligible = np.flatnonzero(elig_buf)
-        if eligible.size:
-            faults.fill(0.0)
-            have_faults = True
-            if profiler is not None:
-                profiler.push("fault_partition")
-            try:
-                if eligible.size == 1:
-                    # One eligible segment: the per-process sampler with
-                    # the process's own stream -- the reference path's
-                    # delegation, kept verbatim.
-                    i = int(eligible[0])
-                    proc = procs[i]
-                    faults[i] = engine._sample_hint_faults(
-                        proc,
-                        proc.pages,
-                        refs[i],
-                        self._seg_buffers[i],
-                        float(n_vec[i]),
-                        start_ns,
-                        quantum_ns,
-                    )
-                else:
-                    self._batched_faults_planned(
-                        eligible, n_vec, faults, start_ns, quantum_ns
-                    )
-            finally:
-                if profiler is not None:
-                    profiler.pop()
-            # Post-fault repair stays restricted to the eligible set:
-            # repairing other segments here would change the phase 4-6
-            # inputs relative to the reference step.
-            post = eligible[
-                cells[0][eligible] != self._mass_epoch_vec[eligible]
-            ]
-            if post.size:
-                self._repair_mass_many(
-                    [(int(k), procs[k]) for k in post.tolist()]
-                )
-                self._ss_valid = False
-
-        # ---- Phases 4-6: ledger, stats, latency, demand ---------------------
-        if profiler is not None:
-            profiler.push("segment_fold")
-        self.open_n += n_vec
-        tmp = self._tmp
-        # Interned arenas always have more than one segment, so stats
-        # are always lazy here (see _lazy_stats).
-        self._acc_n += n_vec
-        bwm = self.kernel.machine.write_bw_multiplier
-        if self._ss_valid and np.array_equal(bwm, self._bwm_cache):
-            # Steady state: every product below is a function of
-            # unchanged inputs, so the cached vectors equal what the
-            # recompute would produce bit for bit; the accumulators
-            # still take one addition per quantum (repeated addition is
-            # not reassociated, keeping singleton runs bit-identical).
-            self._acc_fast += self._fast_prod
-            self._acc_user += self._user_prod
-            self._acc_stall += self._stall_prod
-            self._fold_latency(
-                n_vec, faults, have_faults, recompute=False
-            )
-        else:
-            np.multiply(mass[:, FAST_TIER], n_vec, out=self._fast_prod)
-            self._acc_fast += self._fast_prod
-            np.multiply(n_vec, mean_lat, out=self._user_prod)
-            self._acc_user += self._user_prod
-            np.multiply(n_vec, delay, out=self._stall_prod)
-            self._acc_stall += self._stall_prod
-            self._fold_latency(n_vec, faults, have_faults)
-            weight = self._weight_rows
-            np.multiply(wf[:, None], bwm[None, :], out=weight)
-            weight += rf[:, None]
-            np.multiply(n_vec, CACHE_LINE_BYTES, out=tmp)
-            weight *= tmp[:, None]
-            np.multiply(mass, weight, out=self._demand_rows)
-            np.sum(self._demand_rows, axis=0, out=self._demand_out)
-            np.copyto(self._bwm_cache, bwm)
-            self._ss_valid = True
-        if profiler is not None:
-            profiler.pop()
-
-        # ---- Phase 7: policy hooks, finish checks, witness ------------------
-        hook = self._resolve_policy_hook(self.kernel.policy)
-        if hook is not None:
-            if profiler is not None:
-                profiler.push("policy")
-            try:
-                n_list = n_vec.tolist()
-                for row in self._rows:
-                    i = row[0]
-                    hook(row[1], refs[i], n_list[i], start_ns, quantum_ns)
-            finally:
-                if profiler is not None:
-                    profiler.pop()
-        acc_n = self._acc_n
-        for row in self._target_rows:
-            i, proc, workload, pages = row
-            if proc.stats.accesses + acc_n[i] >= proc.target_accesses:
-                proc.finished = True
-                live_mask[i] = False
-                retired = True
-        if engine.fusion:
-            # Two vector copies from the write-through cells replace the
-            # reference step's per-row witness loop.
-            np.copyto(self.witness_epoch, cells[0])
-            np.copyto(self.witness_protect_epoch, cells[1])
-            self.witness_probs = list(refs)
-        if retired:
-            self._retire_rows()
-        return self._demand_out
-
-    def _batched_faults_planned(
-        self,
-        eligible: np.ndarray,
-        n_vec: np.ndarray,
-        faults: np.ndarray,
-        start_ns: int,
-        quantum_ns: int,
-    ) -> None:
-        """The cached-plan aggregate fault draw (interned step).
-
-        Identical RNG/FP sequence to :meth:`_batched_faults`; the
-        difference is purely which work is *re-derived* per quantum.
-        The per-segment active/dormant split is re-examined only when
-        the protect-epoch witness moved (every snapshot replacement
-        bumps the protect epoch, so the witness is conservative-
-        complete; the identity check inside the re-examination then
-        reproduces the reference path's rebuild decision exactly), and
-        the concatenated active-rate vector is cached while the
-        eligible set and its plan epochs are unchanged.
-        """
-        engine = self.engine
-        procs = self.processes
-        rng = self.rng
-        seg_buffers = self._seg_buffers
-        prot_epochs = self._cells[1]
-        entry_epoch = self._fault_entry_epoch
-        stale = eligible[prot_epochs[eligible] != entry_epoch[eligible]]
-        if stale.size:
-            stale_segs = stale.tolist()
-            rebuilds = []
-            for k in stale_segs:
-                protected = procs[k].pages.protected_pages()
-                buffers = seg_buffers[k]
-                probs = self.probs_refs[k]
-                if protected.size and (
-                    buffers.fault_probs is not probs
-                    or buffers.fault_prot is not protected
-                ):
-                    rebuilds.append(
-                        (buffers, probs, protected, float(n_vec[k]))
-                    )
-                self._entry_protected[k] = protected
-            if rebuilds:
-                engine._rebuild_fault_caches(rebuilds)
-            active_sizes = []
-            dormant_masses = []
-            for k in stale_segs:
-                if self._entry_protected[k].size:
-                    buffers = seg_buffers[k]
-                    active_sizes.append(buffers.active_p.size)
-                    dormant_masses.append(buffers.dormant_mass)
-                else:
-                    active_sizes.append(0)
-                    dormant_masses.append(0.0)
-                entry_epoch[k] = procs[k].pages.protect_epoch
-            self._active_size[stale] = active_sizes
-            self._dormant_mass_vec[stale] = dormant_masses
-        masks: Dict[int, np.ndarray] = {}
-        # Active head: one concatenated Bernoulli draw over the cached
-        # per-segment rate vectors.
-        a_segs = eligible[self._active_size[eligible] > 0]
-        if a_segs.size:
-            cache = self._active_cache
-            if (
-                cache is not None
-                and np.array_equal(cache[0], a_segs)
-                and np.array_equal(cache[1], entry_epoch[a_segs])
-            ):
-                concat_p, sizes, starts = cache[2], cache[3], cache[4]
-            else:
-                sizes = self._active_size[a_segs]
-                parts = [
-                    seg_buffers[k].active_p for k in a_segs.tolist()
-                ]
-                concat_p = (
-                    np.concatenate(parts)
-                    if len(parts) > 1
-                    else parts[0]
-                )
-                starts = np.zeros(sizes.size, dtype=np.int64)
-                np.cumsum(sizes[:-1], out=starts[1:])
-                self._active_cache = (
-                    a_segs.copy(),
-                    entry_epoch[a_segs].copy(),
-                    concat_p,
-                    sizes,
-                    starts,
-                )
-            # Per element this is the reference path's n_i * active_p
-            # (the concat/multiply order commutes exactly).
-            lam = concat_p * np.repeat(n_vec[a_segs], sizes)
-            touched = rng.random(lam.size) < -np.expm1(-lam)
-            counts = np.add.reduceat(touched, starts)
-            for j in counts.nonzero()[0].tolist():
-                k = int(a_segs[j])
-                buffers = seg_buffers[k]
-                off = int(starts[j])
-                hits = touched[off : off + int(sizes[j])].nonzero()[0]
-                mask = masks.get(k)
-                if mask is None:
-                    mask = buffers.touched_mask
-                    mask[:] = False
-                    masks[k] = mask
-                mask[buffers.active_pos[hits]] = True
-        # Dormant tail: one aggregate Poisson draw, two-level partition.
-        dm = self._dormant_mass_vec[eligible]
-        d_pick = dm > 0.0
-        d_segs = eligible[d_pick]
-        if d_segs.size:
-            rates = n_vec[d_segs] * dm[d_pick]
-            total_rate = float(rates.sum())
-            if total_rate > 0.0:
-                k_draws = int(rng.poisson(total_rate))
-                if k_draws:
-                    cum = np.cumsum(rates)
-                    draws = rng.random(k_draws) * total_rate
-                    seg_pick = searchsorted_right(cum, draws)
-                    np.minimum(seg_pick, rates.size - 1, out=seg_pick)
-                    counts = np.bincount(seg_pick, minlength=rates.size)
-                    order = np.argsort(seg_pick, kind="stable")
-                    sorted_draws = draws[order]
-                    bounds = np.cumsum(counts)
-                    for j in np.flatnonzero(counts).tolist():
-                        count = int(counts[j])
-                        hi = int(bounds[j])
-                        sel = sorted_draws[hi - count : hi]
-                        base = float(cum[j] - rates[j])
-                        seg = int(d_segs[j])
-                        buffers = seg_buffers[seg]
-                        values = (sel - base) / float(n_vec[seg])
-                        hits = searchsorted_right(
-                            buffers.dormant_cdf, values
-                        )
-                        np.minimum(
-                            hits,
-                            buffers.dormant_cdf.size - 1,
-                            out=hits,
-                        )
-                        mask = masks.get(seg)
-                        if mask is None:
-                            mask = buffers.touched_mask
-                            mask[:] = False
-                            masks[seg] = mask
-                        mask[buffers.dormant_pos[hits]] = True
-        # One fault window over every touched segment, ascending order
-        # (the per-process order).
-        if masks:
-            segs = sorted(masks)
-            self._deliver(
-                segs,
-                [
-                    (
-                        procs[seg],
-                        self._entry_protected[seg],
-                        seg_buffers[seg],
-                        masks[seg],
-                        float(n_vec[seg]),
-                    )
-                    for seg in segs
-                ],
-                faults,
-                start_ns,
-                quantum_ns,
-            )
-
-    # ------------------------------------------------------------------
-    # Interning introspection
-    # ------------------------------------------------------------------
-    def class_ledger_runs(self) -> List[tuple]:
-        """The merged per-class open ledger runs.
-
-        Returns ``(fingerprint, probs, total_n, n_members)`` per
-        non-empty class: members share one ``probs`` reference, so the
-        class's open ledger state is exactly the superposed run
-        ``(probs, sum_i n_i)``; each member's drain applies its own
-        ``n_i`` share (lazy thinning -- exact because
-        ``defer_accesses`` is linear in ``n``).  ``fingerprint`` is the
-        compiled-table cache key pair from
-        :func:`repro.workloads.base.distribution_fingerprint`, or
-        ``None`` for distributions born outside the table cache.
-        """
-        if not self.intern:
-            return []
-        return [
-            (
-                self.class_fingerprints[c],
-                self.class_probs[c],
-                float(self.open_n[members].sum()),
-                int(members.size),
-            )
-            for c, members in enumerate(self.class_members)
-            if members.size
-        ]
-
-    def take_reprice_counters(self) -> tuple:
-        """``(repriced, skipped)`` segment-repricing deltas since the
-        last call (the engine's obs block turns these into counters)."""
-        out = (self.repriced_segments, self.reprice_skipped_segments)
-        self.repriced_segments = 0
-        self.reprice_skipped_segments = 0
-        return out
-
-    # ------------------------------------------------------------------
     def _batched_faults(
         self,
         eligible: List[int],
@@ -1553,29 +832,15 @@ class ProcessArena:
         # (the per-process order).
         touched = [e for e in entries if e[0] in masks]
         if touched:
-            self._deliver(
-                [e[0] for e in touched],
+            fleet = engine._fault_window(
                 [
                     (proc, protected, buffers, masks[i], float(n_vec[i]))
                     for i, proc, protected, buffers in touched
                 ],
-                faults,
                 start_ns,
                 quantum_ns,
             )
-
-    def _deliver(
-        self,
-        segs: List[int],
-        touched: list,
-        faults: np.ndarray,
-        start_ns: int,
-        quantum_ns: int,
-    ) -> None:
-        """Hand the touched segments to the engine's fault window and
-        record each segment's fault count."""
-        fleet = self.engine._fault_window(touched, start_ns, quantum_ns)
-        faults[segs] = fleet.counts()
+            faults[[e[0] for e in touched]] = fleet.counts()
 
     # ------------------------------------------------------------------
     def _fold_latency(
@@ -1583,47 +848,38 @@ class ProcessArena:
         n_vec: np.ndarray,
         faults: np.ndarray,
         have_faults: bool,
-        recompute: bool = True,
     ) -> None:
         """Accumulate this quantum's latency classes into per-key
         segment vectors (the per-process dict accumulations, evaluated
-        element-wise in the same order).
-
-        With ``recompute=False`` (the interned step's steady state) the
-        ``reads`` / ``writes`` buffers still hold this quantum's counts
-        -- mass, n, and the read/write split are unchanged -- and only
-        the accumulations run.  The fault adjustment never mutates the
-        buffers either way: the adjusted last-tier read counts go
-        through a scratch vector, producing the same subtraction the
-        in-place update would."""
+        element-wise in the same order).  The fault adjustment goes
+        through a scratch vector, producing the same subtraction an
+        in-place update of the read counts would."""
         engine = self.engine
         store = self._lat_store
         read_keys = engine._read_keys
         write_keys = engine._write_keys
         positive = self._positive
         reads, writes = self._reads, self._writes
-        fold_zero = self._fold_zero
-        if recompute:
-            tier_counts = self._tier_counts
-            np.multiply(self.mass, n_vec[:, None], out=tier_counts)
-            # The per-process path skips tiers without positive mass
-            # (repair drift can leave a ~-1e-20 residue in a row);
-            # masking by the boolean is exact (x * True == x,
-            # x * False == 0.0).
-            np.greater(tier_counts, 0.0, out=positive)
-            np.multiply(tier_counts, self._rf[:, None], out=reads)
-            reads *= positive
-            np.multiply(tier_counts, self._wf[:, None], out=writes)
-            writes *= positive
-            any_tier = positive.any(axis=0)
-            for tier_id in range(self.n_tiers):
-                empty = not any_tier[tier_id]
-                fold_zero[2 * tier_id] = empty or not reads[
-                    :, tier_id
-                ].any()
-                fold_zero[2 * tier_id + 1] = empty or not writes[
-                    :, tier_id
-                ].any()
+        tier_counts = self._tier_counts
+        np.multiply(self.mass, n_vec[:, None], out=tier_counts)
+        # The per-process path skips tiers without positive mass
+        # (repair drift can leave a ~-1e-20 residue in a row);
+        # masking by the boolean is exact (x * True == x,
+        # x * False == 0.0).
+        np.greater(tier_counts, 0.0, out=positive)
+        np.multiply(tier_counts, self._rf[:, None], out=reads)
+        reads *= positive
+        np.multiply(tier_counts, self._wf[:, None], out=writes)
+        writes *= positive
+        # Per-(tier, read/write) all-zero flags: counts are
+        # non-negative, so adding an all-zero vector is a bitwise no-op
+        # the fold may skip (the flush skips zero counts regardless).
+        any_tier = positive.any(axis=0)
+        fold_zero = []
+        for tier_id in range(self.n_tiers):
+            empty = not any_tier[tier_id]
+            fold_zero.append(empty or not reads[:, tier_id].any())
+            fold_zero.append(empty or not writes[:, tier_id].any())
         last_tier = self.n_tiers - 1
         last_reads = reads[:, last_tier]
         if have_faults:

@@ -80,18 +80,6 @@ single-process arena is bit-identical to it, multi-process arenas are
 statistically equivalent (the aggregate fault draw consumes a dedicated
 ``engine.arena`` stream).  The steady-state fusion witness lives in the
 arena's per-segment epoch vectors instead of per-process buffers.
-
-**Distribution interning** (``docs/SIMULATION.md`` section 8) drops the
-arena's remaining O(segments) Python work to O(unique distributions):
-with ``intern=True`` (the default; requires the arena) multi-segment
-arenas group stationary segments that share one compiled distribution
-table into equivalence classes and execute the steady-state quantum per
-class -- cached pricing with per-class dirty bits over epoch witness
-cells, merged class ledger runs with lazy per-segment thinning, and
-cached fault plans feeding the aggregate draw.  When every class is a
-singleton the interned step is bit-identical to the uninterned arena
-step; ``intern=False`` (``--no-intern``) keeps the uninterned step as
-the reference mode.
 """
 
 from __future__ import annotations
@@ -177,7 +165,6 @@ class QuantumEngine:
         fast_path: bool = True,
         fusion: bool = True,
         arena: bool = True,
-        intern: bool = True,
     ) -> None:
         if quantum_ns <= 0:
             raise ValueError("quantum must be positive")
@@ -193,11 +180,6 @@ class QuantumEngine:
         #: path (the arena's reference mode, CLI ``--no-arena``); like
         #: fusion, the arena requires the fast path.
         self.arena = bool(arena) and self.fast_path
-        #: distribution interning inside the arena (equivalence-class
-        #: stepping)?  ``False`` keeps the uninterned arena step (the
-        #: interning reference mode, CLI ``--no-intern``); interning
-        #: requires arena stepping.
-        self.intern = bool(intern) and self.arena
         #: lazily built :class:`repro.harness.arena.ProcessArena`;
         #: rebuilt whenever the fleet changes, torn down at run end
         self._arena = None
@@ -378,28 +360,6 @@ class QuantumEngine:
                         fast_contention=gauges["machine.fast_contention"],
                         slow_contention=gauges["machine.slow_contention"],
                     )
-                    arena_obj = self._arena
-                    if arena_obj is not None and arena_obj.intern:
-                        obs.set_gauge(
-                            "arena.interned_classes",
-                            arena_obj.n_classes,
-                        )
-                        obs.set_gauge(
-                            "arena.interned_segments",
-                            arena_obj.interned_segments,
-                        )
-                        repriced, skipped = (
-                            arena_obj.take_reprice_counters()
-                        )
-                        if repriced:
-                            obs.inc(
-                                "arena.repriced_segments", repriced
-                            )
-                        if skipped:
-                            obs.inc(
-                                "arena.reprice_skipped_segments",
-                                skipped,
-                            )
                 if n_fused > 1:
                     self.fused_quanta += n_fused
                     if obs is not None:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.jit import scan_filter
+from repro.sim.kernels import scan_filter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel

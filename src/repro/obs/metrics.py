@@ -16,7 +16,7 @@ of being absent.  ``docs/OBSERVABILITY.md`` documents the catalogue and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -246,21 +246,20 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "repro.harness.engine",
               "fused-window length per fused step, in quanta.",
               edges=_FUSION_EDGES_QUANTA),
+        # Retired with arena distribution interning: still registered
+        # so snapshots keep their keys, but nothing writes them.
         _spec("arena.interned_classes", "gauge", "count",
               "repro.harness.arena",
-              "multi-member distribution equivalence classes in the "
-              "interned arena."),
+              "retired; always 0."),
         _spec("arena.interned_segments", "gauge", "count",
               "repro.harness.arena",
-              "segments currently priced through an equivalence class."),
+              "retired; always 0."),
         _spec("arena.repriced_segments", "counter", "count",
               "repro.harness.arena",
-              "segment prices recomputed by the interned step (dirty "
-              "rows plus members of dirty classes)."),
+              "retired; always 0."),
         _spec("arena.reprice_skipped_segments", "counter", "count",
               "repro.harness.arena",
-              "segment re-pricings skipped because the epoch witness "
-              "showed no change."),
+              "retired; always 0."),
         _spec("workload.table_hits", "gauge", "count",
               "repro.workloads.base",
               "compiled-table cache hits accumulated process-wide at "

@@ -45,7 +45,7 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 import numpy as np
 
 from repro.mem.tier import FAST_TIER, SLOW_TIER
-from repro.sim.jit import ledger_fold
+from repro.sim.kernels import ledger_fold
 
 NO_TIMESTAMP: int = -1
 
@@ -136,15 +136,6 @@ class PageState:
         #: copy-on-write (never mutated in place) so a snapshot returned
         #: by :meth:`protected_pages` stays valid across later updates.
         self._protected_vpns = np.empty(0, dtype=np.int64)
-        #: optional write-through witness cells (the cross-process
-        #: arena's dirty-detection vectors): a ``(3, n_segs)`` int64
-        #: array whose column ``_witness_index`` mirrors ``epoch``,
-        #: ``protect_epoch`` and ``n_protected``.  Every mutation site
-        #: writes its new value through, so the arena detects stale
-        #: segments with one vectorised compare instead of an O(fleet)
-        #: Python attribute walk per quantum.
-        self._witness_cells: Optional[np.ndarray] = None
-        self._witness_index: int = 0
         #: placement journal: ``(epoch, vpns, old_tiers, new_tier)`` per
         #: ``move_to_tier`` call, oldest first
         self._move_log: Deque[Tuple[int, np.ndarray, np.ndarray, int]] = (
@@ -173,34 +164,6 @@ class PageState:
             pending[-1][1] += n_accesses
         else:
             pending.append([probs, float(n_accesses)])
-
-    def set_witness_cells(
-        self, cells: Optional[np.ndarray], index: int = 0
-    ) -> None:
-        """Attach (or detach, with ``None``) arena witness cells.
-
-        ``cells`` is a ``(3, n_segs)`` int64 array; column ``index``
-        mirrors ``(epoch, protect_epoch, n_protected)`` from here on
-        (the current values are written immediately).  The mirror is
-        complete by construction: ``epoch`` only changes in
-        :meth:`move_to_tier` and ``protect_epoch`` / ``n_protected``
-        only change in the four protect/unprotect paths, all of which
-        write through.
-        """
-        self._witness_cells = cells
-        self._witness_index = int(index)
-        if cells is not None:
-            cells[0, index] = self.epoch
-            cells[1, index] = self.protect_epoch
-            cells[2, index] = self.n_protected
-
-    def _sync_protect_witness(self) -> None:
-        """Write the protection state through to the witness cells."""
-        cells = self._witness_cells
-        if cells is not None:
-            i = self._witness_index
-            cells[1, i] = self.protect_epoch
-            cells[2, i] = self.n_protected
 
     def set_ledger_source(
         self,
@@ -383,7 +346,6 @@ class PageState:
         self.n_protected += int(fresh.size)
         if fresh.size:
             self.protect_epoch += 1
-            self._sync_protect_witness()
         self._cache_protect(fresh)
         return int(fresh.size)
 
@@ -418,7 +380,6 @@ class PageState:
             # timestamps changed even when the set did not -- still a
             # protection-state mutation for the fusion dirty-flag
             self.protect_epoch += 1
-            self._sync_protect_witness()
         self._cache_protect(unique[fresh_mask])
 
     def unprotect(self, vpns: np.ndarray) -> None:
@@ -429,7 +390,6 @@ class PageState:
         self.n_protected -= int(gone.size)
         if gone.size:
             self.protect_epoch += 1
-            self._sync_protect_witness()
         self.prot_none[unique] = False
         self._cache_unprotect(gone)
 
@@ -449,7 +409,6 @@ class PageState:
         self.n_protected -= int(vpns.size)
         if vpns.size:
             self.protect_epoch += 1
-            self._sync_protect_witness()
         self._protected_vpns = remainder
 
     def protected_pages(self) -> np.ndarray:
@@ -479,9 +438,6 @@ class PageState:
         old_tiers = self.tier[vpns]  # fancy indexing copies
         self.tier[vpns] = np.int8(tier_id)
         self.epoch += 1
-        cells = self._witness_cells
-        if cells is not None:
-            cells[0, self._witness_index] = self.epoch
         log = self._move_log
         log.append((self.epoch, vpns, old_tiers, int(tier_id)))
         self._move_log_pages += int(vpns.size)

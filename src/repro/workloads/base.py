@@ -104,11 +104,9 @@ def distribution_fingerprint(
 ) -> Optional[Tuple[str, str]]:
     """``(cache_key, table_name)`` for a cached table array, else ``None``.
 
-    The arena's distribution-interning layer groups segments by the
-    *identity* of their ``probs`` array (two workloads built from the
-    same :func:`table_key` parameters share one frozen array); this
-    resolves that identity back to the canonical key for reporting and
-    equivalence-class fingerprints.  Arrays that never went through
+    Two workloads built from the same :func:`table_key` parameters
+    share one frozen ``probs`` array; this resolves that identity back
+    to the canonical key for reporting.  Arrays that never went through
     :func:`cached_tables` / :func:`seed_tables` have no fingerprint.
     """
     if array is None:
@@ -286,8 +284,8 @@ class TraceWorkload(Workload):
     mass.  ``assume_normalized=True`` stores positive-mass vectors by
     reference instead of copy-normalizing them -- the trace compiler
     uses this to hand every instance the *same* frozen
-    :func:`cached_tables` array so the engine's identity-based fusion
-    witness and the arena's interning keys see shared tables.
+    :func:`cached_tables` array, which the engine's identity-based
+    fusion witness sees as one table.
     """
 
     name = "trace"

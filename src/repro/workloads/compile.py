@@ -1,7 +1,7 @@
 """Trace compiler: raw address events -> fused-fast-path workloads.
 
 Replaying a recorded trace one address at a time would forfeit every
-batching win from the arena/fusion/interning stack.  This module
+batching win from the arena and quantum fusion.  This module
 *compiles* traces instead: raw ``(timestamp_ns, pid, vpn, is_write)``
 event streams (or the recorder's ``.npz`` window format) are binned into
 per-window page histograms with vectorized, chunked accumulation, then a
@@ -12,12 +12,10 @@ distribution tables that plug straight into the engine:
 
 * phase tables are routed through :func:`~repro.workloads.base.cached_tables`
   keyed by a content digest, so same-pattern traces (and same-pattern
-  fleet tenants) share one frozen array -- the arena's
-  distribution-interning key;
+  fleet tenants) share one frozen array;
 * long phases give :class:`~repro.workloads.base.TraceWorkload` honest
-  ``stable_until_ns`` horizons, so quantum fusion and the steady-state
-  cache engage *within* phases instead of being defeated by per-window
-  churn;
+  ``stable_until_ns`` horizons, so quantum fusion engages *within*
+  phases instead of being defeated by per-window churn;
 * idle stretches compile to zero-traffic phases, preserving the
   recording's wall-clock shape.
 
@@ -32,6 +30,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import pathlib
+import zipfile
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -40,6 +39,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -76,8 +76,7 @@ class StationaryTableWorkload(Workload):
     Keeps the base no-op ``advance`` -- an infinite fusion horizon --
     and ``access_distribution`` returns the table array *itself*, so
     every process built from the same cached table presents one array
-    identity and the arena interns them into a single equivalence
-    class.  The compiler emits this for single-phase traces; the fleet
+    identity.  The compiler emits this for single-phase traces; the fleet
     traffic generator uses it for all non-shifting tenants.
     """
 
@@ -99,7 +98,7 @@ class StationaryTableWorkload(Workload):
         self._probs = probs
 
     def access_distribution(self, now_ns: Optional[int] = None) -> np.ndarray:
-        """The frozen table; identical object every call (interning key)."""
+        """The frozen table; identical object every call."""
         return self._probs
 
 
@@ -108,8 +107,7 @@ def intern_distribution(weights: np.ndarray) -> np.ndarray:
 
     The cache key is a content digest, so any two callers compiling the
     same histogram -- different traces, different fleet tenants --
-    receive the *same* frozen array and the arena's identity-keyed
-    interning groups them into one equivalence class.
+    receive the *same* frozen array.
     """
     weights = np.asarray(weights, dtype=np.float64)
     total = float(weights.sum())
@@ -208,7 +206,7 @@ class CompiledTrace:
         """Build the replay workload for this compiled trace.
 
         A single-phase trace becomes a :class:`StationaryTableWorkload`
-        (infinite fusion horizon, arena-internable); multi-phase traces
+        (infinite fusion horizon); multi-phase traces
         become a :class:`~repro.workloads.base.TraceWorkload` whose
         ``stable_until_ns`` reports the compiled phase boundaries.
         """
@@ -454,18 +452,36 @@ def read_event_csv(
 ) -> Iterator[EventChunk]:
     """Stream ``timestamp_ns,pid,vpn,is_write`` rows as event chunks.
 
-    A header row naming the columns is skipped if present; chunks hold
-    at most ``chunk_events`` events so huge files stay memory-bounded.
+    A header row naming the columns is skipped if it is the first
+    non-blank row; chunks hold at most ``chunk_events`` events so huge
+    files stay memory-bounded.  A row with fewer than four fields or a
+    non-integer field raises ``ValueError`` naming its line.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         rows: List[Tuple[int, int, int, int]] = []
+        first = True
         for row in reader:
-            if not row or row[0].strip().lstrip("-").isdigit() is False:
-                continue  # header or blank line
-            rows.append(
-                (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-            )
+            if not row:
+                continue
+            if first:
+                first = False
+                if not row[0].strip().lstrip("-").isdigit():
+                    continue  # header
+            if len(row) < 4:
+                raise ValueError(
+                    f"line {reader.line_num}: expected 4 fields "
+                    f"(timestamp_ns,pid,vpn,is_write), got {len(row)}"
+                )
+            try:
+                rows.append(
+                    (int(row[0]), int(row[1]), int(row[2]), int(row[3]))
+                )
+            except ValueError:
+                raise ValueError(
+                    f"line {reader.line_num}: non-integer field in "
+                    f"{','.join(row[:4])!r}"
+                ) from None
             if len(rows) >= chunk_events:
                 yield _rows_to_chunk(rows)
                 rows = []
@@ -482,6 +498,34 @@ def _rows_to_chunk(rows: List[Tuple[int, int, int, int]]) -> EventChunk:
         array[:, 2],
         array[:, 3].astype(bool),
     )
+
+
+#: arrays an event-format ``.npz`` must carry
+EVENT_NPZ_KEYS = ("timestamp_ns", "pid", "vpn", "is_write")
+#: arrays a recorder window-format ``.npz`` must carry
+WINDOW_NPZ_KEYS = ("version", "interval_ns", "write_fraction", "windows")
+
+
+def _npz_keys(path: PathLike) -> Set[str]:
+    """The array names of an ``.npz`` archive.
+
+    Raises ``ValueError`` when the file is not a readable ``.npz``
+    archive (garbage bytes, pickled data, a bare ``.npy`` array).
+    """
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a readable .npz archive ({exc})") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive (a single .npy array)")
+    with data:
+        return set(data.files)
+
+
+def _require_keys(keys: Set[str], required: Sequence[str]) -> None:
+    missing = [key for key in required if key not in keys]
+    if missing:
+        raise ValueError(f"missing array(s) {', '.join(missing)}")
 
 
 def read_event_npz(path: PathLike) -> EventChunk:
@@ -509,6 +553,7 @@ def compile_trace_file(
     window format (binned at its recorded interval; ``window_ns`` must
     then be omitted or match), a ``timestamp_ns`` key is the raw event
     format.  ``.csv`` files stream through :func:`read_event_csv`.
+    Malformed contents raise ``ValueError``.
     """
     path = pathlib.Path(path)
     if path.suffix == ".csv":
@@ -519,9 +564,9 @@ def compile_trace_file(
             min_windows=min_windows,
             obs=obs,
         )
-    with np.load(path) as data:
-        keys = set(data.files)
+    keys = _npz_keys(path)
     if "windows" in keys:
+        _require_keys(keys, WINDOW_NPZ_KEYS)
         windows, interval_ns, write_fraction = load_trace_windows(path)
         if window_ns is not None and int(window_ns) != interval_ns:
             raise ValueError(
@@ -539,6 +584,7 @@ def compile_trace_file(
                 pid=pid,
             )
         }
+    _require_keys(keys, EVENT_NPZ_KEYS)
     return compile_event_stream(
         [read_event_npz(path)],
         window_ns=window_ns or DEFAULT_WINDOW_NS,

@@ -40,7 +40,7 @@ from repro.kernel.scanner import ScanConfig
 from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.obs.hub import ObsHub
 from repro.policies.base import TieringPolicy
-from repro.sim.jit import dcsc_fold, scan_filter
+from repro.sim.kernels import dcsc_fold, scan_filter
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
 from repro.vm.fault import FleetFaultBatch, resolve_hint_faults, take_hint_faults
@@ -519,7 +519,7 @@ class TestFleetFaultWindowOracle:
     CONFIGS = {"pressured": 896, "unpressured": 8192}
 
     def _twin(self, monkeypatch, policy_name, fast_pages, sequential,
-              intern=True, **policy_overrides):
+              **policy_overrides):
         setup = StandardSetup(
             duration_ns=4 * SECOND,
             fast_pages=fast_pages,
@@ -540,7 +540,7 @@ class TestFleetFaultWindowOracle:
             result = run_experiment(
                 processes,
                 policy,
-                setup.run_config(intern=intern),
+                setup.run_config(),
                 obs=hub,
             )
         return result, run_observables(processes, policy, hub)
@@ -571,12 +571,6 @@ class TestFleetFaultWindowOracle:
             assert 0.2 < result.fmar < 0.8
         else:
             assert result.fmar > 0.95
-
-    @pytest.mark.parametrize("policy_name", ["linux-nb", "chrono"])
-    def test_uninterned_arena_window_matches(self, monkeypatch, policy_name):
-        self._assert_twins_match(
-            monkeypatch, policy_name, self.CONFIGS["pressured"], intern=False
-        )
 
     def test_huge_page_chrono_matches(self, monkeypatch):
         self._assert_twins_match(

@@ -325,6 +325,36 @@ class TestReplay:
         with pytest.raises(FileNotFoundError):
             main(["replay", "no/such/file.npz"] + REPLAY_MACHINE)
 
+    def _assert_one_line_error(self, capsys, path, needle):
+        code = main(["replay", str(path)] + REPLAY_MACHINE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert needle in err
+
+    def test_replay_csv_short_row(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("timestamp_ns,pid,vpn,is_write\n0,0,1,0\n5,0\n")
+        self._assert_one_line_error(capsys, path, "line 3")
+
+    def test_replay_csv_non_integer_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,0,1,0\n5,0,page7,1\n")
+        self._assert_one_line_error(capsys, path, "non-integer")
+
+    def test_replay_garbage_npz(self, tmp_path, capsys):
+        path = tmp_path / "garbage.npz"
+        path.write_bytes(b"this is not a zip archive\n" * 4)
+        self._assert_one_line_error(capsys, path, "not a readable .npz")
+
+    def test_replay_npz_missing_arrays(self, tmp_path, capsys):
+        import numpy as np
+
+        path = tmp_path / "partial.npz"
+        np.savez(path, timestamp_ns=np.arange(4), pid=np.zeros(4))
+        self._assert_one_line_error(capsys, path, "vpn, is_write")
+
 
 class TestTraffic:
     TRAFFIC_ARGS = [
@@ -341,7 +371,8 @@ class TestTraffic:
         assert code == 0
         out = capsys.readouterr().out
         assert "tenants           8" in out
-        assert "interned" in out
+        assert "tenants exited" in out
+        assert "interned" not in out
 
     def test_traffic_json_with_churn(self, capsys):
         code = main(
@@ -352,4 +383,5 @@ class TestTraffic:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_tenants"] == 8
         assert payload["throughput_per_sec"] > 0
-        assert payload["interned_segments"] >= 0
+        assert payload["tenants_exited"] >= 0
+        assert "interned_segments" not in payload

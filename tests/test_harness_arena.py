@@ -289,3 +289,68 @@ class TestWorkloadContract:
         workload._probs = workload._probs.copy()  # new identity
         engine._arena_step(10 * MILLISECOND, 10 * MILLISECOND)
         assert arena._wf[0] == 0.75
+
+
+def run_shared_table_fleet(policy_name, arena, fusion=False, obs=None):
+    """Eight multitenant tenants over two shared compiled tables at equal
+    delay: many segments whose distribution objects are identical."""
+    setup = StandardSetup(duration_ns=2 * SECOND)
+    processes = build_fleet(
+        setup,
+        "multitenant",
+        n_tenants=8,
+        pages_per_tenant=256,
+        delay_step_units=0,
+        n_distinct=2,
+    )
+    return run_experiment(
+        processes,
+        setup.build_policy(policy_name),
+        setup.run_config(arena=arena, fusion=fusion),
+        obs=obs,
+    )
+
+
+class TestSharedTableFleet:
+    @pytest.mark.parametrize("policy_name", ["linux-nb", "memtis", "chrono"])
+    def test_headline_metrics_agree_with_per_process_path(self, policy_name):
+        """Segments sharing one table object are still stepped and
+        priced one by one, so the arena stays statistically equivalent
+        to the per-process path on a shared-table fleet."""
+        arena = run_shared_table_fleet(policy_name, arena=True)
+        reference = run_shared_table_fleet(policy_name, arena=False)
+        assert arena.throughput_per_sec == pytest.approx(
+            reference.throughput_per_sec, rel=0.05
+        )
+        assert arena.fmar == pytest.approx(
+            reference.fmar, rel=0.05, abs=1e-4
+        )
+
+    def test_fused_arena_stays_equivalent(self):
+        hub = ObsHub.create(metrics=True)
+        fused = run_shared_table_fleet(
+            "memtis", arena=True, fusion=True, obs=hub
+        )
+        stepped = run_shared_table_fleet("memtis", arena=True)
+        assert hub.snapshot()["counters"]["engine.fused_quanta"] > 0
+        assert fused.throughput_per_sec == pytest.approx(
+            stepped.throughput_per_sec, rel=0.02
+        )
+        assert fused.fmar == pytest.approx(
+            stepped.fmar, rel=0.02, abs=1e-4
+        )
+
+    def test_retired_interning_metrics_read_zero(self):
+        """The equivalence-class metrics stay in every snapshot (readers
+        index them by name) but nothing writes them any more."""
+        hub = ObsHub.create(metrics=True)
+        result = run_shared_table_fleet("chrono", arena=True, obs=hub)
+        assert result.engine.arena_steps > 0
+        snapshot = hub.snapshot()
+        for name in ("arena.interned_classes", "arena.interned_segments"):
+            assert snapshot["gauges"][name] == 0
+        for name in (
+            "arena.repriced_segments",
+            "arena.reprice_skipped_segments",
+        ):
+            assert snapshot["counters"][name] == 0

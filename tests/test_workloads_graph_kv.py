@@ -136,3 +136,78 @@ class TestMultitenant:
             make_multitenant_processes(n_tenants=0)
         with pytest.raises(ValueError):
             make_multitenant_processes(n_tenants=2, delay_step_units=-1)
+
+    def test_n_distinct_cycles_compiled_tables(self):
+        pairs = make_multitenant_processes(
+            n_tenants=8, pages_per_tenant=64, n_distinct=3
+        )
+        tables = {
+            id(process.workload.access_distribution())
+            for process, _ in pairs
+        }
+        assert len(tables) == 3
+
+    def test_default_shares_one_table(self):
+        pairs = make_multitenant_processes(
+            n_tenants=4, pages_per_tenant=64
+        )
+        tables = {
+            id(process.workload.access_distribution())
+            for process, _ in pairs
+        }
+        assert len(tables) == 1
+
+    def test_n_distinct_must_be_positive(self):
+        with pytest.raises(ValueError, match="distinct"):
+            make_multitenant_processes(n_tenants=2, n_distinct=0)
+
+    def test_base_delay_is_uniform_across_tenants(self):
+        """A base think time with no stagger keeps per-access cost equal
+        fleet-wide."""
+        pairs = make_multitenant_processes(
+            n_tenants=4,
+            pages_per_tenant=64,
+            delay_step_units=0,
+            base_delay_units=100,
+        )
+        delays = {
+            process.workload.delay_ns_per_access
+            for process, _ in pairs
+        }
+        assert len(delays) == 1
+        assert delays.pop() > 0.0
+
+    def test_base_delay_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="base delay"):
+            make_multitenant_processes(
+                n_tenants=2, base_delay_units=-1
+            )
+
+    def test_registered_as_fleet_builder(self):
+        from repro.harness.experiments import fleet_names
+
+        assert "multitenant" in fleet_names()
+
+    def test_shared_tables_feed_the_table_cache_metrics(self):
+        """Eight tenants over two compiled tables: two builds (or fewer,
+        if warm) and cache hits for the rest of the fleet."""
+        from repro.harness.experiments import StandardSetup, build_fleet
+        from repro.harness.runner import run_experiment
+        from repro.obs import ObsHub
+        from repro.sim.timeunits import SECOND
+
+        setup = StandardSetup(duration_ns=SECOND)
+        processes = build_fleet(
+            setup, "multitenant",
+            n_tenants=8, pages_per_tenant=64, n_distinct=2,
+        )
+        hub = ObsHub.create(metrics=True)
+        run_experiment(
+            processes, setup.build_policy("linux-nb"), setup.run_config(),
+            obs=hub,
+        )
+        gauges = hub.snapshot()["gauges"]
+        assert gauges["workload.table_bytes"] > 0
+        assert gauges["workload.table_hits"] + gauges[
+            "workload.table_misses"
+        ] >= 8

@@ -52,14 +52,14 @@ class TestPatternTables:
 
 
 class TestFleet:
-    def test_stationary_fleet_is_internable(self):
+    def test_stationary_fleet_shares_pattern_tables(self):
         processes = small_fleet()
         assert len(processes) == 16
         tables = {
             id(p.workload.access_distribution()) for p in processes
         }
         # 16 tenants present at most n_patterns distinct table
-        # identities: the arena interning key.
+        # identities.
         assert len(tables) <= 4
         assert all(
             isinstance(p.workload, StationaryTableWorkload)
@@ -85,7 +85,7 @@ class TestFleet:
             for p in processes
         }
         # Every tenant pair sits a whole power-of-two apart on the
-        # ladder, so interning classes stay coarse.
+        # ladder.
         assert all(
             np.isclose(r, 2.0 ** round(np.log2(r)), rtol=1e-9)
             for r in ratios
