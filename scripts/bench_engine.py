@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Engine hot-path benchmark: quanta/sec and cells/sec, before/after.
 
-Runs the standard pmbench workload under one policy twice -- once with
-the engine's optimized pricing path (cached tier masses, per-quantum
-contention vector, preallocated buffers) and once with the reference
-per-page path (``fast_path=False``, the pre-optimization behaviour) --
+Runs the standard pmbench workload under one policy twice -- once on
+the engine's fast path (arena stepping: cached per-segment tier masses,
+per-quantum contention vector, deferred accounting) and once on the
+per-page oracle (``fast_path=False``, the pre-optimization behaviour) --
 and reports simulated quanta per second of host wall time for both,
 plus the profiled subsystem shares.
 
@@ -24,7 +24,7 @@ reporting quanta/sec both ways, the fusion ratio, and the speedup.
 
 The arena section times cross-process arena stepping (one batched
 array program per quantum; see ``docs/SIMULATION.md``) against the
-per-process fast path (``arena=False``) on a stepping-bound fleet
+per-page oracle (``fast_path=False``) on a stepping-bound fleet
 config: 96 small processes at a fine 5 ms quantum (a 250 Hz kernel
 tick) with the kernel daemons *live* at the testbed's realistic
 periods (5 s Ticking scan, 1 s aging), fusion off in both modes.
@@ -32,7 +32,7 @@ The arena is never quiesced: scan, aging, migration, and reclaim
 windows all run through the batched fleet passes, so the measured
 gap is per-quantum stepping cost under real transient load.  The
 speedup must clear ``ARENA_SPEEDUP_FLOOR``, and the arena run must
-match the per-process run on throughput and FMAR within
+match the oracle on throughput and FMAR within
 ``ARENA_EQUIV_TOLERANCE`` -- a speedup bought with a biased arena
 does not count.
 
@@ -82,11 +82,11 @@ jobs=2 drops below ``SWEEP_GATE_FRACTION`` of the committed ladder's
 matching rung, when fused steady-state quanta/sec drops below
 ``FUSION_GATE_FRACTION`` of the committed fusion section, when the
 fused-vs-unfused speedup falls below ``FUSION_SPEEDUP_FLOOR``, or
-when the arena-vs-per-process speedup falls below
+when the arena-vs-oracle speedup falls below
 ``ARENA_SPEEDUP_FLOOR`` (or arena quanta/sec below
 ``ARENA_GATE_FRACTION`` of the committed arena section, or the arena
 run's throughput or FMAR drifts more than ``ARENA_EQUIV_TOLERANCE``
-from the per-process run), or when a trace floor fails.
+from the oracle), or when a trace floor fails.
 CI-compatible: pure stdlib + the package itself, runs in about a
 minute at the default scale.
 """
@@ -167,8 +167,8 @@ FUSION_PAGES = 2_048
 #: daemons *live* at the testbed's realistic periods (5 s Ticking
 #: scan, 1 s aging), fusion off in both modes.  The arena is never
 #: quiesced -- scan, aging, migration, and reclaim windows all run
-#: through the batched fleet passes -- so the arena-vs-per-process
-#: gap is per-quantum stepping cost under real transient load.
+#: through the batched fleet passes -- so the arena-vs-oracle gap is
+#: per-quantum stepping cost under real transient load.
 ARENA_POLICY = "linux-nb"
 ARENA_PROCS = 96
 ARENA_PAGES = 256
@@ -179,18 +179,18 @@ ARENA_AGING_PERIOD_NS = SECOND
 ARENA_QUANTUM_NS = 5 * MILLISECOND
 ARENA_DURATION_NS = 10 * SECOND
 
-#: --quick floor on the arena-vs-per-process speedup: one batched
-#: array program per quantum must beat the per-process loop by at
-#: least this much at fleet scale, with the daemons live.
+#: --quick floor on the arena-vs-oracle speedup: one batched array
+#: program per quantum must beat the per-page oracle's per-process
+#: loop by at least this much at fleet scale, with the daemons live.
 ARENA_SPEEDUP_FLOOR = 2.0
 
 #: --quick arena-throughput floor, as a fraction of the committed
 #: arena section's quanta/sec (host-speed jitter allowance).
 ARENA_GATE_FRACTION = 0.5
 
-#: arena-vs-per-process equivalence tolerance on throughput and FMAR
+#: arena-vs-oracle equivalence tolerance on throughput and FMAR
 #: (relative error, both gates): the speedup only counts when the
-#: batched arena reproduces the per-process run it is timed against.
+#: batched arena reproduces the oracle run it is timed against.
 ARENA_EQUIV_TOLERANCE = 0.05
 
 #: trace-compiler throughput config: a known-phase synthetic event
@@ -650,18 +650,18 @@ def arena_setup(duration_ns) -> StandardSetup:
 
 
 def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
-    """Arena vs per-process stepping on the stepping-bound fleet config.
+    """Arena vs the per-page oracle on the stepping-bound fleet config.
 
     Both runs share (policy, workload, seed) and run with fusion off;
-    they differ only in the engine's ``arena`` switch, so the
-    quanta/sec gap is the cost of looping the per-process fast path
-    over ``ARENA_PROCS`` processes versus one batched array program
-    over the concatenated arena.  Deterministic per mode, so
-    ``best_of`` keeps each mode's fastest pass (least-noise estimate
-    on a loaded runner).
+    they differ only in the engine's ``fast_path`` switch, so the
+    quanta/sec gap is the cost of looping the per-page oracle over
+    ``ARENA_PROCS`` processes versus one batched array program over
+    the concatenated arena.  Deterministic per mode, so ``best_of``
+    keeps each mode's fastest pass (least-noise estimate on a loaded
+    runner).
     """
     runs = {}
-    for arena in (True, False):
+    for fast_path in (True, False):
         best = None
         for _ in range(max(1, best_of)):
             setup = arena_setup(duration_ns)
@@ -673,21 +673,22 @@ def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
             start = time.perf_counter()
             result = run_experiment(
                 processes, policy,
-                setup.run_config(arena=arena, fusion=False),
+                setup.run_config(fusion=False),
+                fast_path=fast_path,
             )
             wall = time.perf_counter() - start
             if best is None or wall < best[0]:
                 best = (wall, result)
         wall, result = best
         quanta = result.engine.quanta_run
-        runs["arena" if arena else "per_process"] = {
+        runs["arena" if fast_path else "oracle"] = {
             "wall_sec": wall,
             "quanta": quanta,
             "quanta_per_sec": quanta / wall if wall else 0.0,
             "throughput_per_sec": result.throughput_per_sec,
             "fmar": result.fmar,
         }
-    reference_qps = runs["per_process"]["quanta_per_sec"]
+    reference_qps = runs["oracle"]["quanta_per_sec"]
     return {
         "config": {
             "policy": ARENA_POLICY,
@@ -703,14 +704,14 @@ def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
             "fusion": False,
         },
         "arena": runs["arena"],
-        "per_process": runs["per_process"],
+        "oracle": runs["oracle"],
         "equivalence": {
             "throughput_rel_err": rel_err(
                 runs["arena"]["throughput_per_sec"],
-                runs["per_process"]["throughput_per_sec"],
+                runs["oracle"]["throughput_per_sec"],
             ),
             "fmar_rel_err": rel_err(
-                runs["arena"]["fmar"], runs["per_process"]["fmar"]
+                runs["arena"]["fmar"], runs["oracle"]["fmar"]
             ),
         },
         "speedup": (
@@ -722,19 +723,19 @@ def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
 
 def print_arena(section):
     arena = section["arena"]
-    per_process = section["per_process"]
+    oracle = section["oracle"]
     print(
         f"  arena ({ARENA_POLICY}, pmbench x{ARENA_PROCS}, "
         "daemons live): "
         f"arena {arena['quanta_per_sec']:8.1f} q/s, "
-        f"per-process {per_process['quanta_per_sec']:8.1f} q/s, "
+        f"oracle {oracle['quanta_per_sec']:8.1f} q/s, "
         f"speedup {section['speedup']:.2f}x"
     )
 
 
 def arena_gate_ok(section) -> bool:
     """The arena section's absolute gates: equivalence first (a
-    speedup only counts when the arena matches the per-process run),
+    speedup only counts when the arena matches the oracle),
     then the speedup floor.  Prints each failure."""
     ok = True
     equiv = section["equivalence"]
@@ -759,9 +760,9 @@ def run_quick_arena_gate(baseline):
     """Arena stepping speedup and throughput vs the committed arena
     section.
 
-    Three gates: the arena run must match the per-process run within
+    Three gates: the arena run must match the oracle within
     ``ARENA_EQUIV_TOLERANCE`` on throughput and FMAR, the
-    arena-vs-per-process speedup must clear ``ARENA_SPEEDUP_FLOOR``
+    arena-vs-oracle speedup must clear ``ARENA_SPEEDUP_FLOOR``
     (batched stepping pays for itself at fleet scale), and arena
     quanta/sec must stay above ``ARENA_GATE_FRACTION`` of the committed
     arena section.  A missing or pre-arena baseline skips the
@@ -1445,10 +1446,10 @@ def main(argv=None) -> int:
             "fused quanta/sec drops below "
             f"{FUSION_GATE_FRACTION:.0%} of the committed fusion "
             "section, the fused-vs-per-quantum speedup falls below "
-            f"{FUSION_SPEEDUP_FLOOR:.1f}x, the arena-vs-per-process "
+            f"{FUSION_SPEEDUP_FLOOR:.1f}x, the arena-vs-oracle "
             f"speedup falls below {ARENA_SPEEDUP_FLOOR:.1f}x, the "
             "arena run drifts more than "
-            f"{ARENA_EQUIV_TOLERANCE:.0%} from the per-process run on "
+            f"{ARENA_EQUIV_TOLERANCE:.0%} from the oracle on "
             "throughput or FMAR, trace compile throughput falls below "
             f"{TRACE_COMPILE_FLOOR / 1e6:.0f}M events/cpu-sec, or the "
             "replayed trace's fusion ratio falls below "

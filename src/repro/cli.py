@@ -217,10 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable event-horizon quantum fusion in every cell",
     )
     tour_p.add_argument(
-        "--no-arena", action="store_true",
-        help="disable cross-process arena stepping in every cell",
-    )
-    tour_p.add_argument(
         "--out", metavar="FILE", default="tournament.json",
         help="leaderboard JSON artifact path (default: "
         "tournament.json)",
@@ -282,10 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p.add_argument(
         "--no-fusion", action="store_true",
         help="disable event-horizon quantum fusion",
-    )
-    replay_p.add_argument(
-        "--no-arena", action="store_true",
-        help="disable cross-process arena stepping",
     )
     replay_p.add_argument(
         "--json", action="store_true",
@@ -385,13 +377,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
             "reference stepping; slower, for equivalence checking)"
         ),
     )
-    parser.add_argument(
-        "--no-arena", action="store_true",
-        help=(
-            "disable cross-process arena stepping (per-process "
-            "fast-path stepping; slower, for equivalence checking)"
-        ),
-    )
 
 
 def _bounded(kind, accept, message: str):
@@ -475,8 +460,6 @@ def _config_overrides(args) -> dict:
     overrides = {}
     if args.no_fusion:
         overrides["fusion"] = False
-    if args.no_arena:
-        overrides["arena"] = False
     return overrides
 
 
@@ -902,8 +885,11 @@ def cmd_replay(args) -> int:
             traces = compile_trace_file(
                 path, window_ns=window_ns, threshold=args.threshold
             )
-        except ValueError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            # An OSError's own message repeats the path; print its
+            # reason only.
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: {path}: {reason}", file=sys.stderr)
             return 2
         for pid, trace in traces.items():
             compiled[len(compiled)] = (path, pid, trace)

@@ -1,12 +1,10 @@
-"""Cross-process arena stepping: one batched array program per quantum.
+"""Cross-process arena stepping: the engine's fast path.
 
-The per-process fast path (PR 5) executes ``run_quantum`` once per
-process per (macro-)quantum -- at fleet sizes the numpy dispatch and
-Python bookkeeping of those per-process calls dominate the step.  The
-arena concatenates every process's page-level state into one global
-address space partitioned into *segments* (one per process, in
-``kernel.processes`` order) and executes each quantum as a single
-segment-wise array program:
+Stepping a fleet one process at a time spends the step in per-process
+numpy dispatch and Python bookkeeping.  The arena concatenates every
+process's page-level state into one global address space partitioned
+into *segments* (one per process, in ``kernel.processes`` order) and
+executes each (macro-)quantum as a single segment-wise array program:
 
 ::
 
@@ -28,44 +26,46 @@ One quantum is then:
 2. one vectorised *pricing* solve: ``mean_lat = sum_t mass[:, t] *
    (rf * read_lat[t] + wf * write_lat[t])`` and
    ``n = max(budget, 0) / (mean_lat + delay)`` over all segments at
-   once -- the identical scalar operations the per-process path
-   performs, evaluated element-wise (bit-identical per segment),
-3. one *aggregate fault draw*: active (hot) protected candidates from
-   all segments share one concatenated Bernoulli draw
-   (``np.add.reduceat`` recovers per-segment touch counts), and the
-   dormant tails merge into a single ``K ~ Poisson(sum_i n_i *
-   dormant_mass_i)`` draw partitioned back to segments by a two-level
-   inverse-CDF lookup -- exact by Poisson superposition / thinning.
-   When exactly one segment is fault-eligible the draw delegates to the
-   per-process sampler with the process's own stream, keeping
-   single-process arenas bit-identical to the reference mode.  The
-   touched segments then go through one *fault window*
-   (``QuantumEngine._fault_window``): one fleet resolve (timestamps
-   from each process's own stream, offsets and CITs as vector
-   operations), one kernel account, and one
+   once -- O(tiers) per segment instead of a per-page dot product,
+3. one *aggregate fault draw*.  Each segment's protected snapshot is
+   split into an *active* head (per-quantum touch probability above
+   ``FAULT_DORMANT_MAX_TOUCH``: its own Bernoulli draw) and a *dormant*
+   tail (one aggregate Poisson draw placed by inverse-CDF lookup) --
+   distributionally exact by Poisson thinning at O(active + faults)
+   cost.  Active candidates from all segments share one concatenated
+   Bernoulli draw (``np.add.reduceat`` recovers per-segment touch
+   counts), and the dormant tails merge into a single ``K ~
+   Poisson(sum_i n_i * dormant_mass_i)`` draw partitioned back to
+   segments by a two-level inverse-CDF lookup -- exact by Poisson
+   superposition.  When exactly one segment is fault-eligible the draw
+   uses the process's own stream instead.  The touched segments then
+   go through one *fault window* (:meth:`ProcessArena._fault_window`):
+   one fleet resolve (timestamps from each process's own stream,
+   offsets and CITs as vector operations), one kernel account, and one
    ``TieringPolicy.on_fault_fleet`` hook call -- bit-identical to
    resolving and delivering segment by segment,
 4. one *ledger account*: ``open_n += n_vec`` extends the concatenated
    open run; each segment's share drains lazily into its
    ``PageState``'s own pending ledger the first time a consumer reads
    the counters (``PageState.set_ledger_source``),
-5. one *latency fold*: per-class counts accumulate into per-key
+5. one *stats fold*: per-segment access, fast-access, user and stall
+   totals accumulate in vectors and reach each ``SimProcess.stats``
+   only when they become visible (retirement, observers, teardown),
+6. one *latency fold*: per-class counts accumulate into per-key
    vectors over segments (keyed by the engine's per-quantum latency
    keys) and scatter into per-process mixtures once per run,
-6. one *demand fold*: per-tier byte demand summed over segments.
+7. one *demand fold*: per-tier byte demand summed over segments.
 
-Equivalence contract (``docs/SIMULATION.md`` section 7): a
-single-process arena executes the same IEEE-754 operations in the same
-order as the per-process fast path, so its trajectory is bit-identical;
-multi-process arenas share one aggregate fault stream (the
-``engine.arena`` RNG) instead of per-process streams, so they match the
-per-process mode statistically (same laws), not bit for bit.
-``arena=False`` keeps the per-process path as the reference mode for
-equivalence gating.
+Equivalence contract (``docs/SIMULATION.md`` section 7): the arena
+matches the per-page oracle (``QuantumEngine(fast_path=False)``)
+statistically -- same laws, different RNG consumption -- not bit for
+bit.  ``tests/test_pressured_oracle.py`` and ``tests/test_harness_arena.py``
+gate it, under memory pressure and without it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -75,10 +75,47 @@ from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.policies.base import TieringPolicy
 from repro.sim.kernels import searchsorted_right
+from repro.vm.fault import FleetFaultBatch, resolve_hint_faults
+
+
+class FaultCache:
+    """One process's hint-fault candidates, split active/dormant.
+
+    The protected snapshot is split into an *active* head (per-page
+    Bernoulli draws) and a *dormant* tail sampled through one aggregate
+    Poisson draw.  Keyed by identity on the probability array and the
+    copy-on-write protected-page snapshot; both are replaced -- never
+    mutated -- when their contents change.
+    """
+
+    __slots__ = (
+        "fault_probs", "fault_prot", "prot_p", "active_pos", "active_p",
+        "dormant_pos", "dormant_cdf", "dormant_mass", "touched_mask",
+    )
+
+    def __init__(self) -> None:
+        self.fault_probs: Optional[np.ndarray] = None
+        self.fault_prot: Optional[np.ndarray] = None
+        self.prot_p: Optional[np.ndarray] = None
+        self.active_pos: Optional[np.ndarray] = None
+        self.active_p: Optional[np.ndarray] = None
+        self.dormant_pos: Optional[np.ndarray] = None
+        self.dormant_cdf: Optional[np.ndarray] = None
+        self.dormant_mass: float = 0.0
+        self.touched_mask: Optional[np.ndarray] = None
 
 
 class ProcessArena:
     """Concatenated per-process state stepped as one array program."""
+
+    #: incremental tier-mass updates applied before forcing a full
+    #: recount; bounds accumulated float error from delta arithmetic
+    MASS_RESYNC_MOVES: int = 256
+
+    #: per-quantum touch probability below which a protected page is
+    #: sampled through the aggregated dormant draw instead of its own
+    #: Bernoulli draw (see ``_rebuild_fault_caches``)
+    FAULT_DORMANT_MAX_TOUCH: float = 0.02
 
     def __init__(self, engine: Any) -> None:
         self.engine = engine
@@ -109,8 +146,7 @@ class ProcessArena:
         #: ledger runs and witnesses hold these by reference (the
         #: concatenated copy above can never serve identity checks)
         self.probs_refs: List[Optional[np.ndarray]] = [None] * n_segs
-        # Per-segment tier-mass rows, the cache the per-process path
-        # keeps in ``_ProcessBuffers``: keyed by (probs identity,
+        # Per-segment tier-mass rows: keyed by (probs identity,
         # placement epoch), journal-repaired, drift-bounded by a resync
         # countdown.
         self.mass = np.zeros((n_segs, n_tiers), dtype=np.float64)
@@ -172,22 +208,23 @@ class ProcessArena:
         self._policy_seen: Any = None
         self._policy_hook = None
         #: per-segment quantum-stat accumulators (accesses, fast
-        #: accesses, user ns, stall ns).  Multi-segment arenas fold these
-        #: with four vector adds per quantum and flush them into each
-        #: ``SimProcess.stats`` lazily (:meth:`flush_stats`) -- nothing
-        #: reads the per-process copies mid-run.  Single-segment arenas
-        #: keep the per-quantum ``record_accesses`` call so their stat
-        #: rounding stays bit-identical to the per-process path.
-        self._lazy_stats = n_segs > 1
+        #: accesses, user ns, stall ns), folded with four vector adds per
+        #: quantum and flushed into each ``SimProcess.stats`` lazily
+        #: (:meth:`flush_stats`) -- nothing reads the per-process copies
+        #: mid-run.
         self._acc_n = np.zeros(n_segs, dtype=np.float64)
         self._acc_fast = np.zeros(n_segs, dtype=np.float64)
         self._acc_user = np.zeros(n_segs, dtype=np.float64)
         self._acc_stall = np.zeros(n_segs, dtype=np.float64)
-        #: per-segment engine fault buffers, resolved once -- the
-        #: engine's per-pid dict lookup is measurable at fleet size
-        self._seg_buffers = [
-            engine._buffers_for(p) for p in self.processes
-        ]
+        #: per-segment fault caches, resolved once from the engine's
+        #: per-pid store (which outlives this arena)
+        caches = engine._fault_caches
+        self._fault_caches: List[FaultCache] = []
+        for p in self.processes:
+            cache = caches.get(p.pid)
+            if cache is None:
+                cache = caches[p.pid] = FaultCache()
+            self._fault_caches.append(cache)
         self._last_reads = np.zeros(n_segs, dtype=np.float64)
         self._build_masses()
         self._attach_ledger_sources()
@@ -202,7 +239,7 @@ class ProcessArena:
         segment's per-tier mass in one pass over the concatenated
         arrays; within a segment the additions run in vpn order, the
         same order a per-segment ``bincount`` uses, so the rows are
-        bit-identical to the per-process computation.
+        bit-identical to :meth:`_recount_mass`.
         """
         starts = self.seg_starts
         for i, proc in enumerate(self.processes):
@@ -213,7 +250,7 @@ class ProcessArena:
             self.concat_probs[lo:hi] = probs
             self.concat_tier[lo:hi] = proc.pages.tier
             self.mass_epoch[i] = proc.pages.epoch
-            self.mass_resync[i] = self.engine.MASS_RESYNC_MOVES
+            self.mass_resync[i] = self.MASS_RESYNC_MOVES
             self._wf[i] = workload.write_fraction
             self._delay[i] = workload.delay_ns_per_access
             if proc.finished:
@@ -266,14 +303,12 @@ class ProcessArena:
     def flush_stats(self) -> None:
         """Fold the lazily accumulated quantum stats into each process.
 
-        Multi-segment arenas defer ``record_accesses`` (see step phases
-        4-6); this folds the running totals in and rearms the
-        accumulators.  Called at teardown, segment retirement, and
-        before an engine observer fires -- every point where per-process
-        stats become externally visible.
+        The step defers ``record_accesses`` (see step phases 4-6); this
+        folds the running totals in and rearms the accumulators.  Called
+        at teardown, segment retirement, and before an engine observer
+        fires -- every point where per-process stats become externally
+        visible.
         """
-        if not self._lazy_stats:
-            return
         acc_n, acc_fast = self._acc_n, self._acc_fast
         acc_user, acc_stall = self._acc_user, self._acc_stall
         for i, proc in enumerate(self.processes):
@@ -295,9 +330,9 @@ class ProcessArena:
     def _drain_seg(self, i: int) -> None:
         """Move segment ``i``'s share of the open run into its pages.
 
-        The accumulator restarts from zero afterwards, so the pending
-        entry the PageState ledger sees carries the exact partial-sum
-        sequence the per-process path would have produced.
+        The accumulator restarts from zero afterwards, so each pending
+        entry the PageState ledger sees covers one run of a single
+        distribution.
         """
         amount = float(self.open_n[i])
         if amount != 0.0:
@@ -309,8 +344,7 @@ class ProcessArena:
             )
 
     # ------------------------------------------------------------------
-    # Tier-mass maintenance (the per-segment analogue of
-    # ``QuantumEngine._tier_mass``)
+    # Tier-mass maintenance
     # ------------------------------------------------------------------
     def _repair_mass(self, i: int, proc: Any, probs: np.ndarray) -> None:
         pages = proc.pages
@@ -356,14 +390,14 @@ class ProcessArena:
         )
         self.concat_tier[lo:hi] = pages.tier
         self.mass_epoch[i] = pages.epoch
-        self.mass_resync[i] = self.engine.MASS_RESYNC_MOVES
+        self.mass_resync[i] = self.MASS_RESYNC_MOVES
 
     def _repair_mass_many(self, stale: List[Any]) -> None:
         """Repair several stale segments in one fused journal replay.
 
         ``stale`` holds ``(i, proc)`` pairs whose ``mass_epoch`` lags
         their pages' epoch.  A single stale segment delegates to
-        :meth:`_repair_mass` (the bit-identical sequential path -- the
+        :meth:`_repair_mass` (the sequential per-entry replay -- the
         only shape single-process arenas can produce).  Otherwise each
         replayable segment's journal entries fold through the
         single-source fast path: a migration batch moves pages from one
@@ -372,7 +406,7 @@ class ProcessArena:
         ``bincount`` plus a gather per entry.  Mixed-source entries keep
         the bincount.  The single-source subtraction rounds as
         sum-then-subtract where the sequential replay subtracts
-        per-element -- inside the multi-process statistical contract.
+        per-element -- inside the oracle's statistical contract.
         Segments that cannot replay (distribution swap, truncated
         journal, resync countdown) full-recount exactly as before.
         """
@@ -438,6 +472,13 @@ class ProcessArena:
             int(self.witness_epoch[i]),
             int(self.witness_protect_epoch[i]),
         )
+
+    def accesses(self, process: Any) -> float:
+        """``process``'s live access count: its flushed ``stats`` plus
+        the arena's not-yet-flushed accumulator."""
+        i = self._index.get(process.pid)
+        pending = 0.0 if i is None else float(self._acc_n[i])
+        return process.stats.accesses + pending
 
     # ------------------------------------------------------------------
     # Hot-loop maintenance
@@ -541,8 +582,8 @@ class ProcessArena:
         mean_lat.fill(0.0)
         coef, tmp = self._coef, self._tmp
         for tier_id in range(self.n_tiers):
-            # Identical scalar sequence to the per-process pricing loop,
-            # element-wise: rf*read + wf*write, then mass * coef.
+            # Element-wise per segment: rf*read + wf*write, then
+            # mass * coef.
             np.multiply(rf, read_lats[tier_id], out=coef)
             np.multiply(wf, write_lats[tier_id], out=tmp)
             coef += tmp
@@ -559,7 +600,7 @@ class ProcessArena:
         # Zero-mass lanes (idle trace phases) complete no accesses.
         # ``sign`` of the non-negative per-segment mass total is an
         # exact 1.0 for every lane with traffic, so normal segments
-        # stay bit-identical to the per-process path.
+        # are untouched bit for bit.
         np.sum(self.mass, axis=1, out=tmp)
         np.sign(tmp, out=tmp)
         np.multiply(n_vec, tmp, out=n_vec)
@@ -583,19 +624,11 @@ class ProcessArena:
                 profiler.push("fault_partition")
             try:
                 if len(eligible) == 1:
-                    # One eligible segment: the per-process sampler with
-                    # the process's own stream -- bit-identical to the
-                    # per-process fast path.
+                    # One eligible segment: its own draw on the
+                    # process's own stream.
                     i = eligible[0]
-                    proc = procs[i]
-                    faults[i] = engine._sample_hint_faults(
-                        proc,
-                        proc.pages,
-                        refs[i],
-                        self._seg_buffers[i],
-                        n_list[i],
-                        start_ns,
-                        quantum_ns,
+                    faults[i] = self._sample_hint_faults(
+                        i, n_list[i], start_ns, quantum_ns
                     )
                 else:
                     self._batched_faults(
@@ -605,8 +638,7 @@ class ProcessArena:
                 if profiler is not None:
                     profiler.pop()
             # Fault-path promotions moved pages: repair the affected
-            # rows so accounting prices the post-fault placement, the
-            # same re-lookup the per-process path performs.
+            # rows so accounting prices the post-fault placement.
             stale = [
                 (i, procs[i])
                 for i in eligible
@@ -622,30 +654,16 @@ class ProcessArena:
         # of the open run (zero for finished/stalled segments).
         self.open_n += n_vec
         mass = self.mass
-        if self._lazy_stats:
-            # Four vector adds instead of one record_accesses call per
-            # process; flush_stats folds the totals into each process's
-            # stats at retirement/observation/teardown.
-            self._acc_n += n_vec
-            self._acc_fast += np.multiply(
-                mass[:, FAST_TIER], n_vec, out=tmp
-            )
-            self._acc_user += np.multiply(n_vec, mean_lat, out=tmp)
-            self._acc_stall += np.multiply(n_vec, delay, out=tmp)
-        else:
-            fast_list = np.multiply(
-                mass[:, FAST_TIER], n_vec, out=tmp
-            ).tolist()
-            user_list = np.multiply(n_vec, mean_lat, out=tmp).tolist()
-            stall_list = np.multiply(n_vec, delay, out=tmp).tolist()
-            for row in rows:
-                i, proc, workload, pages = row
-                proc.record_accesses(
-                    n_list[i], fast_list[i], user_list[i], stall_list[i]
-                )
+        # Four vector adds instead of one record_accesses call per
+        # process; flush_stats folds the totals into each process's
+        # stats at retirement/observation/teardown.
+        self._acc_n += n_vec
+        self._acc_fast += np.multiply(mass[:, FAST_TIER], n_vec, out=tmp)
+        self._acc_user += np.multiply(n_vec, mean_lat, out=tmp)
+        self._acc_stall += np.multiply(n_vec, delay, out=tmp)
         self._fold_latency(n_vec, faults, have_faults)
         # Demand fold: mass * ((n * CACHE_LINE) * ((1-wf) + wf * bwm)),
-        # the per-process operation order, then one segment sum.
+        # then one segment sum.
         weight = self._weight_rows
         bwm = self.kernel.machine.write_bw_multiplier
         np.multiply(wf[:, None], bwm[None, :], out=weight)
@@ -692,6 +710,192 @@ class ProcessArena:
         return self._demand_out
 
     # ------------------------------------------------------------------
+    # Hint-fault sampling
+    # ------------------------------------------------------------------
+    def _rebuild_fault_caches(self, rebuilds: list) -> None:
+        """Split protected snapshots into active / dormant candidates.
+
+        ``rebuilds`` holds ``(cache, probs, protected, n_accesses)``
+        rows, one per segment whose protected set or access distribution
+        changed (both are replaced, never mutated, so an identity check
+        detects staleness).  Costs O(protected); the threshold compares
+        and position scans run once over the concatenated snapshots, and
+        each segment keeps slices of the result -- element for element
+        what a per-segment split computes.
+        """
+        cut_touch = self.FAULT_DORMANT_MAX_TOUCH
+        if len(rebuilds) == 1:
+            cache, probs, protected, n_accesses = rebuilds[0]
+            p_all = probs[protected]
+            active = p_all >= cut_touch / max(n_accesses, 1.0)
+        else:
+            parts = [probs[protected] for _, probs, protected, _ in rebuilds]
+            p_all = np.concatenate(parts)
+            active = p_all >= np.repeat(
+                [cut_touch / max(row[3], 1.0) for row in rebuilds],
+                [part.size for part in parts],
+            )
+        # ``nonzero()[0]`` is flatnonzero without its Python wrapper
+        # layers.
+        active_idx = active.nonzero()[0]
+        active_p = p_all[active_idx]
+        np.logical_not(active, out=active)
+        active &= p_all > 0.0  # zero-probability pages can never fault
+        dormant_idx = active.nonzero()[0]
+        dormant_p = p_all[dormant_idx]
+        offsets = list(accumulate(
+            (row[2].size for row in rebuilds), initial=0
+        ))
+        if len(rebuilds) == 1:
+            active_cuts = [0, active_idx.size]
+            dormant_cuts = [0, dormant_idx.size]
+        else:
+            # Positions relative to each segment's own snapshot.
+            active_cuts = np.searchsorted(active_idx, offsets)
+            dormant_cuts = np.searchsorted(dormant_idx, offsets)
+            starts = np.array(offsets[:-1], dtype=np.int64)
+            active_idx = active_idx - np.repeat(starts, np.diff(active_cuts))
+            dormant_idx = dormant_idx - np.repeat(
+                starts, np.diff(dormant_cuts)
+            )
+            active_cuts = active_cuts.tolist()
+            dormant_cuts = dormant_cuts.tolist()
+        for j, (cache, probs, protected, _) in enumerate(rebuilds):
+            a_lo, a_hi = active_cuts[j], active_cuts[j + 1]
+            d_lo, d_hi = dormant_cuts[j], dormant_cuts[j + 1]
+            cache.prot_p = p_all[offsets[j]:offsets[j + 1]]
+            cache.active_pos = active_idx[a_lo:a_hi]
+            cache.active_p = active_p[a_lo:a_hi]
+            cache.dormant_pos = dormant_idx[d_lo:d_hi]
+            cdf = dormant_p[d_lo:d_hi].cumsum()
+            cache.dormant_cdf = cdf
+            cache.dormant_mass = float(cdf[-1]) if cdf.size else 0.0
+            cache.touched_mask = np.empty(protected.size, dtype=bool)
+            cache.fault_probs = probs
+            cache.fault_prot = protected
+
+    def _sample_hint_faults(
+        self,
+        i: int,
+        n_accesses: float,
+        start_ns: int,
+        quantum_ns: int,
+    ) -> int:
+        """Resolve segment ``i``'s hint faults in O(active + touched),
+        drawing from the process's own stream (the one-segment case of
+        :meth:`_batched_faults`).
+
+        Each protected page is touched with probability ``1 - exp(-n *
+        p)``, independently.  Active candidates get their own Bernoulli
+        draw; the dormant tail is sampled by drawing the total number of
+        dormant accesses ``K ~ Poisson(n * dormant_mass)`` and placing
+        them on pages proportionally to ``p`` -- by Poisson thinning the
+        two formulations induce exactly the same touched-set law.  At
+        steady state (thousands of cold protected pages, hardly any
+        touched) the quantum costs a few scalar draws instead of an
+        O(protected) vector pass.
+        """
+        process = self.processes[i]
+        probs = self.probs_refs[i]
+        cache = self._fault_caches[i]
+        protected = process.pages.protected_pages()
+        if not protected.size:
+            return 0
+        if (
+            cache.fault_probs is not probs
+            or cache.fault_prot is not protected
+        ):
+            self._rebuild_fault_caches(
+                [(cache, probs, protected, n_accesses)]
+            )
+        rng = process.rng
+        mask = None
+        active_p = cache.active_p
+        if active_p.size:
+            lam = n_accesses * active_p
+            touched = rng.random(active_p.size) < -np.expm1(-lam)
+            if touched.any():
+                mask = cache.touched_mask
+                mask[:] = False
+                mask[cache.active_pos[touched]] = True
+        if cache.dormant_mass > 0.0:
+            k = rng.poisson(n_accesses * cache.dormant_mass)
+            if k:
+                cdf = cache.dormant_cdf
+                hits = np.searchsorted(
+                    cdf,
+                    rng.random(int(k)) * cache.dormant_mass,
+                    side="right",
+                )
+                # A draw can round onto the upper cdf edge; clamp it
+                # back into range (measure-zero event, any bucket works).
+                np.minimum(hits, cdf.size - 1, out=hits)
+                if mask is None:
+                    mask = cache.touched_mask
+                    mask[:] = False
+                mask[cache.dormant_pos[hits]] = True
+        if mask is None:
+            return 0
+        fleet = self._fault_window(
+            [(process, protected, cache, mask, n_accesses)],
+            start_ns,
+            quantum_ns,
+        )
+        return fleet.n_faults
+
+    def _fault_window(
+        self,
+        touched: list,
+        start_ns: int,
+        quantum_ns: int,
+    ) -> FleetFaultBatch:
+        """Resolve, account and deliver one quantum's hint faults for
+        every process with touched protected pages.
+
+        ``touched`` holds ``(process, protected, cache, mask, n)`` rows
+        in ascending process-table order: ``mask`` marks the touched
+        entries of the ``protected`` snapshot (it is consumed -- inverted
+        in place), ``cache`` is the :class:`FaultCache` that snapshot
+        was split by, and ``n`` its accesses this quantum.  Shared by the
+        one-segment sampler (one row) and the aggregate draw (many
+        rows): one resolve, one kernel account, one policy hook.
+        """
+        processes = []
+        touched_vpns = []
+        remainders = []
+        probs = []
+        n_accesses = []
+        for process, protected, cache, mask, n in touched:
+            processes.append(process)
+            touched_vpns.append(protected[mask])
+            probs.append(cache.prot_p[mask])
+            np.logical_not(mask, out=mask)
+            remainders.append(protected[mask])
+            n_accesses.append(n)
+        if len(probs) == 1:
+            rates = n_accesses[0] * probs[0] / quantum_ns
+        else:
+            # Per element this is the per-process n * p / Q.
+            rates = (
+                np.repeat(
+                    np.array(n_accesses, dtype=np.float64),
+                    [part.size for part in probs],
+                )
+                * np.concatenate(probs)
+                / quantum_ns
+            )
+        fleet = resolve_hint_faults(
+            processes,
+            touched_vpns,
+            start_ns,
+            quantum_ns,
+            rates_per_ns=rates,
+            remainders=remainders,
+        )
+        self.kernel.deliver_fleet_faults(fleet)
+        return fleet
+
+    # ------------------------------------------------------------------
     def _batched_faults(
         self,
         eligible: List[int],
@@ -711,12 +915,11 @@ class ProcessArena:
         superposition and thinning.  Fault timestamps still come from
         each process's own stream (``take_hint_faults``).
         """
-        engine = self.engine
         procs = self.processes
         rng = self.rng
-        entries = []  # (seg, proc, protected, buffers)
+        entries = []  # (seg, proc, protected, cache)
         rebuilds = []
-        seg_buffers = self._seg_buffers
+        seg_caches = self._fault_caches
         for i in eligible:
             proc = procs[i]
             pages = proc.pages
@@ -724,17 +927,17 @@ class ProcessArena:
             if not protected.size:
                 continue
             probs = self.probs_refs[i]
-            buffers = seg_buffers[i]
+            cache = seg_caches[i]
             if (
-                buffers.fault_probs is not probs
-                or buffers.fault_prot is not protected
+                cache.fault_probs is not probs
+                or cache.fault_prot is not protected
             ):
-                rebuilds.append((buffers, probs, protected, float(n_vec[i])))
-            entries.append((i, proc, protected, buffers))
+                rebuilds.append((cache, probs, protected, float(n_vec[i])))
+            entries.append((i, proc, protected, cache))
         if not entries:
             return
         if rebuilds:
-            engine._rebuild_fault_caches(rebuilds)
+            self._rebuild_fault_caches(rebuilds)
         masks: Dict[int, np.ndarray] = {}
 
         def mask_for(entry) -> np.ndarray:
@@ -816,26 +1019,26 @@ class ProcessArena:
                         values = (sel - base) / float(
                             n_vec[entry[0]]
                         )
-                        buffers = entry[3]
+                        cache = entry[3]
                         hits = searchsorted_right(
-                            buffers.dormant_cdf, values
+                            cache.dormant_cdf, values
                         )
                         np.minimum(
                             hits,
-                            buffers.dormant_cdf.size - 1,
+                            cache.dormant_cdf.size - 1,
                             out=hits,
                         )
                         mask_for(entry)[
-                            buffers.dormant_pos[hits]
+                            cache.dormant_pos[hits]
                         ] = True
-        # One fault window over every touched segment, ascending order
-        # (the per-process order).
+        # One fault window over every touched segment, in ascending
+        # segment (process-table) order.
         touched = [e for e in entries if e[0] in masks]
         if touched:
-            fleet = engine._fault_window(
+            fleet = self._fault_window(
                 [
-                    (proc, protected, buffers, masks[i], float(n_vec[i]))
-                    for i, proc, protected, buffers in touched
+                    (proc, protected, cache, masks[i], float(n_vec[i]))
+                    for i, proc, protected, cache in touched
                 ],
                 start_ns,
                 quantum_ns,
@@ -850,8 +1053,9 @@ class ProcessArena:
         have_faults: bool,
     ) -> None:
         """Accumulate this quantum's latency classes into per-key
-        segment vectors (the per-process dict accumulations, evaluated
-        element-wise in the same order).  The fault adjustment goes
+        segment vectors (the oracle's per-process dict accumulations in
+        ``QuantumEngine._record_latency``, evaluated element-wise in the
+        same order).  The fault adjustment goes
         through a scratch vector, producing the same subtraction an
         in-place update of the read counts would."""
         engine = self.engine
@@ -862,7 +1066,7 @@ class ProcessArena:
         reads, writes = self._reads, self._writes
         tier_counts = self._tier_counts
         np.multiply(self.mass, n_vec[:, None], out=tier_counts)
-        # The per-process path skips tiers without positive mass
+        # The oracle skips tiers without positive mass
         # (repair drift can leave a ~-1e-20 residue in a row);
         # masking by the boolean is exact (x * True == x,
         # x * False == 0.0).
@@ -885,8 +1089,8 @@ class ProcessArena:
         if have_faults:
             # Faulted accesses pay the trap cost on top; attribute them
             # to the slowest tier's reads first, but only for segments
-            # that actually have mass there (the per-process path skips
-            # empty tiers entirely).
+            # that actually have mass there (the oracle skips empty tiers
+            # entirely).
             faulted = self._faulted
             np.minimum(reads[:, last_tier], faults, out=faulted)
             faulted *= positive[:, last_tier]
@@ -926,8 +1130,8 @@ class ProcessArena:
 
     def flush_latency_into(self, engine: Any) -> None:
         """Scatter the per-key segment vectors into the engine's
-        mixtures (same pid-ascending order the per-process flush uses,
-        so global-mixture accumulation matches bit for bit)."""
+        mixtures, in the same pid-ascending order the oracle's flush
+        uses."""
         store = self._lat_store
         if not store:
             return

@@ -17,41 +17,31 @@ Every simulated process advances through fixed wall-clock quanta (default
    mixture.
 
 Between quanta the kernel timer queue fires scan events, reclaim passes,
-LRU aging, and policy daemons.  This design makes the steady-state cost
-of a quantum amortized O(tiers) + O(pages that changed) while preserving
-the per-page fault/CIT statistics of an access-by-access simulation.
+LRU aging, and policy daemons.
 
-Hot-path structure (``docs/SIMULATION.md`` section 5 is the long form):
+The engine steps the fleet two ways:
 
-* **Pricing** collapses to O(tiers): the mass each tier serves only
-  changes when the placement changes (a migration bumps
-  ``PageState.epoch``) or the workload rotates its distribution (phase
-  changes swap in a *new* probability array; distributions are
-  immutable, per the :mod:`repro.workloads.base` contract).  The
-  per-process tier-mass cache is keyed on ``(id(probs), pages.epoch)``
-  and repaired in O(moved) from the page-state move journal; the
-  contention-multiplier vector is computed once per quantum.
-* **Ground-truth accounting** is deferred: the engine appends one
-  ``(probs, n)`` ledger run per quantum (O(1)) and ``PageState``
-  materialises the counters only when a consumer reads them.
-* **Hint-fault sampling** splits the protected snapshot: pages with
-  per-quantum touch probability above ``FAULT_DORMANT_MAX_TOUCH`` get
-  individual Bernoulli draws, the cold remainder is one aggregate
-  Poisson draw placed by inverse-CDF lookup -- distributionally exact
-  (Poisson thinning) at O(active + faults) cost.
-* **Latency bookkeeping** accumulates per-quantum class counts into
-  plain dicts and folds them into the :class:`LatencyMixture` objects
-  once per :meth:`QuantumEngine.run`.
+* **The fast path** (the default; ``docs/SIMULATION.md`` sections 5
+  and 7) executes every (macro-)quantum as one batched array program
+  over a cross-process page arena (:mod:`repro.harness.arena`): one
+  gather pass, one vectorised pricing solve against per-segment tier
+  masses (repaired in O(moved) from the page-state move journal), one
+  aggregate hint-fault draw, one deferred ledger account, one latency
+  fold and one demand fold.  Steady-state cost is amortized O(tiers)
+  per process plus O(pages that changed), while preserving the
+  per-page fault/CIT statistics of an access-by-access simulation.
+* **The oracle** (``fast_path=False``) runs :meth:`QuantumEngine.run_quantum`
+  once per process per quantum: the per-page latency vector rebuilt
+  from scratch, a per-page Bernoulli pass over the protected snapshot
+  on the process's own RNG stream, and eager per-page accounting.  The
+  fast path draws its faults differently (an aggregate stream, an
+  active/dormant split), so the two agree statistically, not bit for
+  bit; ``tests/test_pressured_oracle.py`` checks them against each
+  other under memory pressure.
 
-Pass ``fast_path=False`` to force the original per-page recomputation
-every quantum (used by ``scripts/bench_engine.py`` to measure the win
-and by the equivalence tests); the reference path also draws per-page
-fault indicators from its original RNG stream, so fast and reference
-trajectories agree statistically, not bit for bit.
-
-**Quantum fusion** (``docs/SIMULATION.md`` section 6) takes the
-steady-state stepping cost from O(quanta) to O(kernel events): before
-each step the engine peeks the kernel timer queue
+**Quantum fusion** (``docs/SIMULATION.md`` section 6) takes the fast
+path's steady-state stepping cost from O(quanta) to O(kernel events):
+before each step the engine peeks the kernel timer queue
 (:meth:`Kernel.next_event_ns`) and, when every process is provably in
 steady state -- distribution array unchanged (identity), placement
 epoch unchanged, protection epoch unchanged, workload stable through
@@ -60,33 +50,20 @@ macro-quantum of ``n·K`` nanoseconds.  One ledger run, one merged
 fault draw (exact by Poisson merging: the first-arrival law over the
 fused window equals the per-quantum composition), one latency fold,
 one contention evaluation carried from the converged previous demand.
-Policies bound fusion through ``needs_per_quantum`` /
+The steady-state witness lives in the arena's per-segment epoch
+vectors.  Policies bound fusion through ``needs_per_quantum`` /
 ``max_fusion_quanta`` (see :class:`repro.policies.base.TieringPolicy`);
 ``fusion=False`` (the ``fusion_reference`` mode, CLI ``--no-fusion``)
 preserves per-quantum stepping for equivalence gating.  When fusion
-never engages the trajectory is bit-identical to the reference mode:
+never engages the trajectory is bit-identical to ``fusion=False``:
 the horizon check consumes no RNG and a one-quantum step executes the
-exact per-quantum path.
-
-**Arena stepping** (``docs/SIMULATION.md`` section 7) removes the last
-O(n_procs) Python loop from the steady-state step: with ``arena=True``
-(the default; requires the fast path) every (macro-)quantum executes as
-one batched array program over a cross-process page arena
-(:mod:`repro.harness.arena`) -- one vectorised pricing solve, one
-aggregate fault draw partitioned back to processes, one concatenated
-ledger account, one latency fold, one demand fold.  ``arena=False``
-keeps the per-process fast path as the arena's reference mode; a
-single-process arena is bit-identical to it, multi-process arenas are
-statistically equivalent (the aggregate fault draw consumes a dedicated
-``engine.arena`` stream).  The steady-state fusion witness lives in the
-arena's per-segment epoch vectors instead of per-process buffers.
+exact per-quantum arena step.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -95,64 +72,10 @@ from repro.kernel.kernel import Kernel
 from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.sim.timeunits import MILLISECOND
-from repro.vm.fault import (
-    FleetFaultBatch,
-    resolve_hint_faults,
-    take_hint_faults,
-)
+from repro.vm.fault import take_hint_faults
 from repro.vm.process import SimProcess
 
 Observer = Callable[["QuantumEngine", int], None]
-
-
-class _ProcessBuffers:
-    """Preallocated per-process scratch state for the quantum hot path."""
-
-    __slots__ = (
-        "count_buf", "mass_probs", "mass_epoch", "tier_mass",
-        "mass_resync", "fault_probs", "fault_prot", "prot_p",
-        "active_pos", "active_p", "dormant_pos", "dormant_cdf",
-        "dormant_mass", "touched_mask",
-        "fusion_probs", "fusion_epoch", "fusion_protect_epoch",
-    )
-
-    def __init__(self, n_pages: int) -> None:
-        #: reference-path accounting scratch (unused on the fast path,
-        #: which defers accounting through the page-state ledger)
-        self.count_buf: Optional[np.ndarray] = None
-        #: cache key for ``tier_mass``: the workload's probability array
-        #: (held by reference, so a freed array's address cannot alias a
-        #: new distribution) plus the placement epoch at computation time
-        self.mass_probs: Optional[np.ndarray] = None
-        self.mass_epoch: int = -1
-        self.tier_mass: Optional[np.ndarray] = None
-        #: incremental-delta applications left before the next full
-        #: recount (bounds float drift from repeated add/subtract)
-        self.mass_resync: int = 0
-        #: fault-candidate cache (fast path): the protected snapshot is
-        #: split into an *active* head (per-page Bernoulli draws) and a
-        #: *dormant* tail sampled through one aggregate Poisson draw.
-        #: Keyed by identity on the probability array and the
-        #: copy-on-write protected-page snapshot; both are replaced --
-        #: never mutated -- when their contents change.
-        self.fault_probs: Optional[np.ndarray] = None
-        self.fault_prot: Optional[np.ndarray] = None
-        self.prot_p: Optional[np.ndarray] = None
-        self.active_pos: Optional[np.ndarray] = None
-        self.active_p: Optional[np.ndarray] = None
-        self.dormant_pos: Optional[np.ndarray] = None
-        self.dormant_cdf: Optional[np.ndarray] = None
-        self.dormant_mass: float = 0.0
-        self.touched_mask: Optional[np.ndarray] = None
-        #: steady-state witness recorded at the end of each quantum: the
-        #: distribution array the quantum ran against plus the placement
-        #: and protection epochs it left behind.  The fusion horizon
-        #: check compares these against the live state -- any mismatch
-        #: (migration, scan, phase change) disables fusion for the next
-        #: step.
-        self.fusion_probs: Optional[np.ndarray] = None
-        self.fusion_epoch: int = -1
-        self.fusion_protect_epoch: int = -1
 
 
 class QuantumEngine:
@@ -164,27 +87,27 @@ class QuantumEngine:
         quantum_ns: int = 50 * MILLISECOND,
         fast_path: bool = True,
         fusion: bool = True,
-        arena: bool = True,
     ) -> None:
         if quantum_ns <= 0:
             raise ValueError("quantum must be positive")
         self.kernel = kernel
         self.quantum_ns = int(quantum_ns)
+        #: ``True`` steps the fleet through the arena (the fast path);
+        #: ``False`` runs the per-page oracle, ``run_quantum``
         self.fast_path = bool(fast_path)
         #: quantum fusion enabled?  ``False`` is the ``fusion_reference``
         #: mode: per-quantum stepping, for equivalence gating.  Fusion
-        #: additionally requires the fast path (the reference path exists
-        #: precisely to replay the historical per-quantum trajectory).
+        #: additionally requires the fast path (the oracle steps one
+        #: quantum at a time by construction).
         self.fusion = bool(fusion) and self.fast_path
-        #: arena stepping enabled?  ``False`` keeps the per-process fast
-        #: path (the arena's reference mode, CLI ``--no-arena``); like
-        #: fusion, the arena requires the fast path.
-        self.arena = bool(arena) and self.fast_path
         #: lazily built :class:`repro.harness.arena.ProcessArena`;
         #: rebuilt whenever the fleet changes, torn down at run end
         self._arena = None
-        #: arena step() invocations (one per engine step in arena mode)
-        self.arena_steps = 0
+        #: per-pid hint-fault caches
+        #: (:class:`repro.harness.arena.FaultCache`).  They outlive arena
+        #: rebuilds, so a process keeps its active/dormant split across
+        #: fleet changes and ``run`` calls.
+        self._fault_caches: Dict[int, Any] = {}
         self.latency = LatencyMixture()
         self.latency_by_pid: Dict[int, LatencyMixture] = {}
         #: per-process pending latency classes ``{pid: {key: count}}``,
@@ -193,7 +116,6 @@ class QuantumEngine:
         self._lat_pending: Dict[int, Dict[int, float]] = {}
         self._prev_demand_bytes_per_sec = np.zeros(kernel.machine.n_tiers)
         self._multipliers = np.ones(kernel.machine.n_tiers)
-        self._buffers: Dict[int, _ProcessBuffers] = {}
         # Small per-quantum scratch vectors (O(tiers)).
         n_tiers = kernel.machine.n_tiers
         self._n_tiers = n_tiers
@@ -223,8 +145,8 @@ class QuantumEngine:
         """Install this quantum's effective tier latencies and derive
         their latency-mixture keys.
 
-        The single place latency keys are rounded: both the per-process
-        path and the arena fold consume ``_read_keys`` / ``_write_keys``
+        The single place latency keys are rounded: both the oracle and
+        the arena fold consume ``_read_keys`` / ``_write_keys``
         / ``_fault_key`` from here, so the two modes cannot drift.
         ``read_lats`` / ``write_lats`` are plain Python float lists
         (``tolist()``-ed once per quantum).
@@ -238,15 +160,6 @@ class QuantumEngine:
             + self.kernel.machine.spec.effective_fault_cost_ns
         )
         self._fault_key = int(round(self._fault_lat))
-
-    def _buffers_for(self, process: SimProcess) -> _ProcessBuffers:
-        """Get-or-create the per-process scratch buffers."""
-        buffers = self._buffers.get(process.pid)
-        if buffers is None:
-            buffers = self._buffers[process.pid] = _ProcessBuffers(
-                process.pages.n_pages
-            )
-        return buffers
 
     # ------------------------------------------------------------------
     def run(
@@ -325,7 +238,7 @@ class QuantumEngine:
                 )
                 demand = self._demand_accum
                 demand.fill(0.0)
-                if self.arena:
+                if self.fast_path:
                     demand += self._arena_step(start, macro_ns)
                 else:
                     for process in self.kernel.processes:
@@ -408,7 +321,6 @@ class QuantumEngine:
             if arena is not None:
                 arena.detach()
             arena = self._arena = ProcessArena(self)
-        self.arena_steps += 1
         return arena.step(start_ns, macro_ns)
 
     # ------------------------------------------------------------------
@@ -458,10 +370,11 @@ class QuantumEngine:
             n = min(n, int(max_fuse))
         if n <= 1:
             return 1
+        arena = self._arena
         for process in self.kernel.processes:
             if process.finished:
                 continue
-            witness = self._steady_witness(process)
+            witness = None if arena is None else arena.witness(process)
             if witness is None:
                 # First quantum for this process: no steady-state witness.
                 return 1
@@ -509,9 +422,14 @@ class QuantumEngine:
             if workload.access_distribution() is not w_probs:
                 return 1
             if process.target_accesses is not None:
-                remaining = (
-                    process.target_accesses - process.stats.accesses
+                # ``stats`` lags the arena's lazy accumulator: read the
+                # live count, or a stale one would lift the cap.
+                done = (
+                    process.stats.accesses
+                    if arena is None
+                    else arena.accesses(process)
                 )
+                remaining = process.target_accesses - done
                 if remaining > 0:
                     # A quantum cannot complete more accesses than budget
                     # divided by the cheapest possible per-access cost
@@ -526,28 +444,6 @@ class QuantumEngine:
                     if n <= 1:
                         return 1
         return int(n)
-
-    def _steady_witness(self, process: SimProcess):
-        """The last quantum's steady-state witness for ``process``:
-        ``(probs, epoch, protect_epoch)``, or ``None`` when no quantum
-        has recorded one yet.
-
-        In arena mode the witness lives in the arena's per-segment
-        vectors; otherwise in the per-process buffers.
-        """
-        if self.arena:
-            arena = self._arena
-            if arena is None:
-                return None
-            return arena.witness(process)
-        buffers = self._buffers.get(process.pid)
-        if buffers is None or buffers.fusion_probs is None:
-            return None
-        return (
-            buffers.fusion_probs,
-            buffers.fusion_epoch,
-            buffers.fusion_protect_epoch,
-        )
 
     def _min_access_cost_ns(self, write_fraction: float) -> float:
         """Cheapest possible mean access latency: best tier, uncontended.
@@ -564,67 +460,22 @@ class QuantumEngine:
         return float(mix.min())
 
     # ------------------------------------------------------------------
-    #: incremental tier-mass updates applied before forcing a full
-    #: recount; bounds accumulated float error from delta arithmetic
-    MASS_RESYNC_MOVES: int = 256
-
     def _tier_mass(
         self, process: SimProcess, probs: np.ndarray
     ) -> np.ndarray:
-        """Probability mass served by each tier, cached across quanta.
-
-        ``tier_mass[t] = sum(probs[i] for pages i resident on tier t)``.
-        The result only changes when a migration moves pages
-        (``pages.epoch``) or the workload swaps in a new distribution
-        array.  On an epoch miss the cached masses are advanced by
-        replaying the placement journal -- O(moved) per migration --
-        falling back to the full O(pages) reduction when the journal was
-        truncated, the distribution changed, or enough deltas accumulated
-        to warrant a drift-bounding resync.
-        """
-        pages = process.pages
-        buffers = self._buffers_for(process)
-        if self.fast_path and buffers.mass_probs is probs:
-            if buffers.mass_epoch == pages.epoch:
-                return buffers.tier_mass
-            moves = (
-                pages.moves_since(buffers.mass_epoch)
-                if buffers.mass_resync > 0
-                else None
-            )
-            if moves is not None and len(moves) <= buffers.mass_resync:
-                mass = buffers.tier_mass
-                for _epoch, vpns, old_tiers, new_tier in moves:
-                    if vpns.size:
-                        moved = probs[vpns]
-                        mass -= np.bincount(
-                            old_tiers, weights=moved, minlength=mass.size
-                        )
-                        mass[new_tier] += float(moved.sum())
-                # Replay rounding can drift a zero-mass tier a few ulps
-                # negative, which the demand fold then feeds to the
-                # contention model as negative demand.  True mass is
-                # non-negative, so the clamp only removes drift.
-                np.maximum(mass, 0.0, out=mass)
-                buffers.mass_resync -= len(moves)
-                buffers.mass_epoch = pages.epoch
-                return mass
-        tier_mass = np.bincount(
-            pages.tier.astype(np.int64),
+        """Probability mass served by each tier:
+        ``tier_mass[t] = sum(probs[i] for pages i resident on tier t)``."""
+        return np.bincount(
+            process.pages.tier.astype(np.int64),
             weights=probs,
-            minlength=self.kernel.machine.n_tiers,
+            minlength=self._n_tiers,
         )
-        buffers.mass_probs = probs
-        buffers.mass_epoch = pages.epoch
-        buffers.tier_mass = tier_mass
-        buffers.mass_resync = self.MASS_RESYNC_MOVES
-        return tier_mass
 
     def run_quantum(
         self, process: SimProcess, start_ns: int, quantum_ns: int
     ) -> np.ndarray:
-        """Execute one process for one quantum; returns per-tier bytes of
-        demand it generated."""
+        """Execute one process for one quantum on the per-page oracle
+        path; returns per-tier bytes of demand it generated."""
         machine = self.kernel.machine
         if process.finished:
             return self._zero_demand
@@ -635,40 +486,16 @@ class QuantumEngine:
         pages = process.pages
         write_fraction = workload.write_fraction
         multipliers = self._multipliers
-        buffers = self._buffers_for(process)
 
-        # Price the access mix against current placement + contention.
-        # Every page on a tier shares the tier's latency, so the O(pages)
-        # dot product ``probs @ per_page_latency`` reduces to an O(tiers)
-        # product against the per-tier probability mass.
-        pricing_mass = self._tier_mass(process, probs)
-        if self.fast_path:
-            # Scalar arithmetic over the O(tiers) per-quantum latency
-            # lists: at 2-3 tiers, numpy's per-call dispatch costs more
-            # than the work itself.
-            read_lats = self._read_lat_list
-            write_lats = self._write_lat_list
-            masses = pricing_mass.tolist()
-            read_fraction = 1.0 - write_fraction
-            mean_latency = 0.0
-            total_mass = 0.0
-            for tier_id in range(self._n_tiers):
-                mass = masses[tier_id]
-                total_mass += mass
-                mean_latency += mass * (
-                    read_fraction * read_lats[tier_id]
-                    + write_fraction * write_lats[tier_id]
-                )
-        else:
-            # Reference path: rebuild the per-page latency vector from
-            # scratch, exactly as the pre-optimization engine did.
-            tier_idx = pages.tier
-            per_page_latency = (
-                (1.0 - write_fraction) * machine.read_latency_ns[tier_idx]
-                + write_fraction * machine.write_latency_ns[tier_idx]
-            ) * multipliers[tier_idx]
-            mean_latency = float(probs @ per_page_latency)
-            total_mass = float(pricing_mass.sum())
+        # Price the access mix against current placement + contention,
+        # rebuilding the per-page latency vector from scratch.
+        tier_idx = pages.tier
+        per_page_latency = (
+            (1.0 - write_fraction) * machine.read_latency_ns[tier_idx]
+            + write_fraction * machine.write_latency_ns[tier_idx]
+        ) * multipliers[tier_idx]
+        mean_latency = float(probs @ per_page_latency)
+        total_mass = float(self._tier_mass(process, probs).sum())
 
         kernel_used = process.drain_pending_kernel(quantum_ns)
         budget = quantum_ns - kernel_used
@@ -683,70 +510,39 @@ class QuantumEngine:
         else:
             n_accesses = 0.0
 
-        # Hint faults on protected pages touched this quantum.  The
-        # maintained protected-page counter makes the common no-scan case
-        # free instead of an O(pages) flatnonzero.
+        # Hint faults: one Bernoulli draw per protected page on the
+        # process's own stream.
         n_faults = 0
         if n_accesses > 0:
-            if not self.fast_path:
-                # Reference path: the original per-page Bernoulli pass
-                # over the full protected snapshot.
-                protected = pages.protected_pages()
-                if protected.size:
-                    lam = n_accesses * probs[protected]
-                    touched = process.rng.random(
-                        protected.size
-                    ) < -np.expm1(-lam)
-                    touched_vpns = protected[touched]
-                    if touched_vpns.size:
-                        batch = take_hint_faults(
-                            process,
-                            touched_vpns,
-                            start_ns,
-                            quantum_ns,
-                            process.rng,
-                            rates_per_ns=lam[touched] / quantum_ns,
-                            # The surviving protected set is already
-                            # known here -- hand it down so the unprotect
-                            # skips its membership search.
-                            cache_remainder=protected[~touched],
-                        )
-                        n_faults = batch.n_faults
-                        self.kernel.deliver_faults(process, batch)
-            elif pages.n_protected > 0:
-                n_faults = self._sample_hint_faults(
-                    process, pages, probs, buffers, n_accesses,
-                    start_ns, quantum_ns,
-                )
+            protected = pages.protected_pages()
+            if protected.size:
+                lam = n_accesses * probs[protected]
+                touched = process.rng.random(
+                    protected.size
+                ) < -np.expm1(-lam)
+                touched_vpns = protected[touched]
+                if touched_vpns.size:
+                    batch = take_hint_faults(
+                        process,
+                        touched_vpns,
+                        start_ns,
+                        quantum_ns,
+                        process.rng,
+                        rates_per_ns=lam[touched] / quantum_ns,
+                        # The surviving protected set is already known
+                        # here -- hand it down so the unprotect skips
+                        # its membership search.
+                        cache_remainder=protected[~touched],
+                    )
+                    n_faults = batch.n_faults
+                    self.kernel.deliver_faults(process, batch)
 
         # Accounting runs against the *post-fault* placement: fault-path
-        # promotions (Linux-NB, TPP, AutoTiering) bumped the placement
-        # epoch, so this re-lookup recomputes the mass only when pages
-        # actually moved this quantum.
-        if (
-            self.fast_path
-            and buffers.mass_epoch == pages.epoch
-            and buffers.mass_probs is probs
-        ):
-            tier_mass = pricing_mass
-        else:
-            tier_mass = self._tier_mass(process, probs)
-
-        # Ground-truth accounting.  The fast path records an O(1) ledger
-        # entry; the O(pages) materialisation happens only when a consumer
-        # (aging, tracing, reporting) reads the counters.  The reference
-        # path keeps the eager per-quantum accumulation.
-        if self.fast_path:
-            pages.defer_accesses(probs, n_accesses)
-        else:
-            count_buf = buffers.count_buf
-            if count_buf is None:
-                count_buf = buffers.count_buf = np.empty(
-                    pages.n_pages, dtype=np.float64
-                )
-            np.multiply(probs, n_accesses, out=count_buf)
-            pages.access_count += count_buf
-            pages.last_window_count += count_buf
+        # promotions (Linux-NB, TPP, AutoTiering) may have moved pages.
+        tier_mass = self._tier_mass(process, probs)
+        counts = probs * n_accesses
+        pages.access_count += counts
+        pages.last_window_count += counts
 
         fast_accesses = n_accesses * float(tier_mass[FAST_TIER])
         process.record_accesses(
@@ -783,14 +579,6 @@ class QuantumEngine:
         ):
             process.finished = True
 
-        # Steady-state witness for quantum fusion: what this quantum ran
-        # against and the state it left behind (after faults and any
-        # policy reaction).  Kernel events firing between quanta bump the
-        # epochs and break the match, as does a distribution swap.
-        buffers.fusion_probs = probs
-        buffers.fusion_epoch = pages.epoch
-        buffers.fusion_protect_epoch = pages.protect_epoch
-
         # Bandwidth demand, write-weighted per tier (Optane writes eat a
         # multiple of their byte count from the bandwidth budget).  The
         # returned buffer is consumed (accumulated) by ``run`` before the
@@ -804,194 +592,6 @@ class QuantumEngine:
             out=self._demand_out,
         )
         return self._demand_out
-
-    # ------------------------------------------------------------------
-    #: per-quantum touch probability below which a protected page is
-    #: sampled through the aggregated dormant draw instead of its own
-    #: Bernoulli draw (see ``_sample_hint_faults``)
-    FAULT_DORMANT_MAX_TOUCH: float = 0.02
-
-    def _rebuild_fault_caches(self, rebuilds: list) -> None:
-        """Split protected snapshots into active / dormant candidates.
-
-        ``rebuilds`` holds ``(buffers, probs, protected, n_accesses)``
-        rows, one per process whose protected set or access distribution
-        changed (both are replaced, never mutated, so an identity check
-        detects staleness).  Costs O(protected); the threshold compares
-        and position scans run once over the concatenated snapshots, and
-        each process keeps slices of the result -- element for element
-        what a per-process split computes.
-        """
-        cut_touch = self.FAULT_DORMANT_MAX_TOUCH
-        if len(rebuilds) == 1:
-            buffers, probs, protected, n_accesses = rebuilds[0]
-            p_all = probs[protected]
-            active = p_all >= cut_touch / max(n_accesses, 1.0)
-        else:
-            parts = [probs[protected] for _, probs, protected, _ in rebuilds]
-            p_all = np.concatenate(parts)
-            active = p_all >= np.repeat(
-                [cut_touch / max(row[3], 1.0) for row in rebuilds],
-                [part.size for part in parts],
-            )
-        # ``nonzero()[0]`` is flatnonzero without its Python wrapper
-        # layers.
-        active_idx = active.nonzero()[0]
-        active_p = p_all[active_idx]
-        np.logical_not(active, out=active)
-        active &= p_all > 0.0  # zero-probability pages can never fault
-        dormant_idx = active.nonzero()[0]
-        dormant_p = p_all[dormant_idx]
-        offsets = list(accumulate(
-            (row[2].size for row in rebuilds), initial=0
-        ))
-        if len(rebuilds) == 1:
-            active_cuts = [0, active_idx.size]
-            dormant_cuts = [0, dormant_idx.size]
-        else:
-            # Positions relative to each process's own snapshot.
-            active_cuts = np.searchsorted(active_idx, offsets)
-            dormant_cuts = np.searchsorted(dormant_idx, offsets)
-            starts = np.array(offsets[:-1], dtype=np.int64)
-            active_idx = active_idx - np.repeat(starts, np.diff(active_cuts))
-            dormant_idx = dormant_idx - np.repeat(
-                starts, np.diff(dormant_cuts)
-            )
-            active_cuts = active_cuts.tolist()
-            dormant_cuts = dormant_cuts.tolist()
-        for j, (buffers, probs, protected, _) in enumerate(rebuilds):
-            a_lo, a_hi = active_cuts[j], active_cuts[j + 1]
-            d_lo, d_hi = dormant_cuts[j], dormant_cuts[j + 1]
-            buffers.prot_p = p_all[offsets[j]:offsets[j + 1]]
-            buffers.active_pos = active_idx[a_lo:a_hi]
-            buffers.active_p = active_p[a_lo:a_hi]
-            buffers.dormant_pos = dormant_idx[d_lo:d_hi]
-            cdf = dormant_p[d_lo:d_hi].cumsum()
-            buffers.dormant_cdf = cdf
-            buffers.dormant_mass = float(cdf[-1]) if cdf.size else 0.0
-            buffers.touched_mask = np.empty(protected.size, dtype=bool)
-            buffers.fault_probs = probs
-            buffers.fault_prot = protected
-
-    def _sample_hint_faults(
-        self,
-        process: SimProcess,
-        pages,
-        probs: np.ndarray,
-        buffers: _ProcessBuffers,
-        n_accesses: float,
-        start_ns: int,
-        quantum_ns: int,
-    ) -> int:
-        """Resolve this quantum's hint faults in O(active + touched).
-
-        Distributionally identical to the reference per-page pass: each
-        protected page is touched with probability ``1 - exp(-n * p)``,
-        independently.  Hot ("active") candidates get their own Bernoulli
-        draw; the dormant tail is sampled by drawing the total number of
-        dormant accesses ``K ~ Poisson(n * dormant_mass)`` and placing
-        them on pages proportionally to ``p`` -- by Poisson thinning the
-        two formulations induce exactly the same touched-set law.  At
-        steady state (thousands of cold protected pages, hardly any
-        touched) the quantum costs a few scalar draws instead of an
-        O(protected) vector pass.
-        """
-        protected = pages.protected_pages()
-        if not protected.size:
-            return 0
-        if (
-            buffers.fault_probs is not probs
-            or buffers.fault_prot is not protected
-        ):
-            self._rebuild_fault_caches(
-                [(buffers, probs, protected, n_accesses)]
-            )
-        rng = process.rng
-        mask = None
-        active_p = buffers.active_p
-        if active_p.size:
-            lam = n_accesses * active_p
-            touched = rng.random(active_p.size) < -np.expm1(-lam)
-            if touched.any():
-                mask = buffers.touched_mask
-                mask[:] = False
-                mask[buffers.active_pos[touched]] = True
-        if buffers.dormant_mass > 0.0:
-            k = rng.poisson(n_accesses * buffers.dormant_mass)
-            if k:
-                cdf = buffers.dormant_cdf
-                hits = np.searchsorted(
-                    cdf,
-                    rng.random(int(k)) * buffers.dormant_mass,
-                    side="right",
-                )
-                # A draw can round onto the upper cdf edge; clamp it
-                # back into range (measure-zero event, any bucket works).
-                np.minimum(hits, cdf.size - 1, out=hits)
-                if mask is None:
-                    mask = buffers.touched_mask
-                    mask[:] = False
-                mask[buffers.dormant_pos[hits]] = True
-        if mask is None:
-            return 0
-        fleet = self._fault_window(
-            [(process, protected, buffers, mask, n_accesses)],
-            start_ns,
-            quantum_ns,
-        )
-        return fleet.n_faults
-
-    def _fault_window(
-        self,
-        touched: list,
-        start_ns: int,
-        quantum_ns: int,
-    ) -> FleetFaultBatch:
-        """Resolve, account and deliver one quantum's hint faults for
-        every process with touched protected pages.
-
-        ``touched`` holds ``(process, protected, buffers, mask, n)`` rows
-        in ascending process-table order: ``mask`` marks the touched
-        entries of the ``protected`` snapshot (it is consumed -- inverted
-        in place), ``buffers`` is the process's fault cache that snapshot
-        was split by, and ``n`` its accesses this quantum.  Shared by the
-        per-process sampler (one row) and the arena's aggregate draw
-        (many rows): one resolve, one kernel account, one policy hook.
-        """
-        processes = []
-        touched_vpns = []
-        remainders = []
-        probs = []
-        n_accesses = []
-        for process, protected, buffers, mask, n in touched:
-            processes.append(process)
-            touched_vpns.append(protected[mask])
-            probs.append(buffers.prot_p[mask])
-            np.logical_not(mask, out=mask)
-            remainders.append(protected[mask])
-            n_accesses.append(n)
-        if len(probs) == 1:
-            rates = n_accesses[0] * probs[0] / quantum_ns
-        else:
-            # Per element this is the per-process n * p / Q.
-            rates = (
-                np.repeat(
-                    np.array(n_accesses, dtype=np.float64),
-                    [part.size for part in probs],
-                )
-                * np.concatenate(probs)
-                / quantum_ns
-            )
-        fleet = resolve_hint_faults(
-            processes,
-            touched_vpns,
-            start_ns,
-            quantum_ns,
-            rates_per_ns=rates,
-            remainders=remainders,
-        )
-        self.kernel.deliver_fleet_faults(fleet)
-        return fleet
 
     # ------------------------------------------------------------------
     def _record_latency(
@@ -1038,11 +638,11 @@ class QuantumEngine:
     def _flush_latency(self) -> None:
         """Fold pending latency classes into the public mixtures.
 
-        Runs at the end of every ``run`` call; until then the per-quantum
-        hot path only touches plain per-process dicts.  Callers driving
+        Runs at the end of every ``run`` call; until then the oracle
+        only touches plain per-process dicts and the arena per-key
+        segment vectors, which scatter here too.  Callers driving
         ``run_quantum`` directly (tests, custom harnesses) can invoke
         this to materialise ``latency`` / ``latency_by_pid`` on demand.
-        In arena mode the per-key segment vectors scatter here too.
         """
         if self._arena is not None:
             self._arena.flush_latency_into(self)

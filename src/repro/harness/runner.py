@@ -42,10 +42,6 @@ class RunConfig:
     #: quantum fusion (event-horizon macro-quanta); ``False`` forces the
     #: per-quantum ``fusion_reference`` stepping mode (CLI ``--no-fusion``)
     fusion: bool = True
-    #: cross-process arena stepping (one batched array program per
-    #: quantum); ``False`` keeps the per-process fast path as the
-    #: arena's reference mode (CLI ``--no-arena``)
-    arena: bool = True
 
     def __post_init__(self) -> None:
         if self.fast_pages <= 0 or self.slow_pages <= 0:
@@ -215,7 +211,6 @@ def run_experiment(
         quantum_ns=config.quantum_ns,
         fast_path=fast_path,
         fusion=config.fusion,
-        arena=config.arena,
     )
     end_ns = engine.run(
         config.duration_ns,

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dcsc import DcscCollector, DcscConfig
-from repro.harness.engine import QuantumEngine
+from repro.harness.arena import ProcessArena
 from repro.harness.experiments import StandardSetup, build_fleet
 from repro.harness.runner import run_experiment
 from repro.kernel.kernel import Kernel
@@ -393,13 +393,13 @@ class TestPolicyTransientOracle:
         assert batched_run.stats == sequential_run.stats
 
 
-def sequential_fault_window(engine, touched, start_ns, quantum_ns):
+def sequential_fault_window(arena, touched, start_ns, quantum_ns):
     """The per-process fault window: resolve and deliver each touched
     process on its own, in order (the oracle for the fleet window)."""
     counts = []
-    for process, protected, buffers, mask, n in touched:
+    for process, protected, cache, mask, n in touched:
         touched_vpns = protected[mask]
-        rates = n * buffers.prot_p[mask] / quantum_ns
+        rates = n * cache.prot_p[mask] / quantum_ns
         np.logical_not(mask, out=mask)
         batch = take_hint_faults(
             process,
@@ -410,7 +410,7 @@ def sequential_fault_window(engine, touched, start_ns, quantum_ns):
             rates_per_ns=rates,
             cache_remainder=protected[mask],
         )
-        engine.kernel.deliver_faults(process, batch)
+        arena.kernel.deliver_faults(process, batch)
         counts.append(batch.n_faults)
     return SimpleNamespace(
         counts=lambda: np.array(counts, dtype=np.int64),
@@ -505,7 +505,7 @@ class TestFleetFaultWindowOracle:
 
     Twin runs differ only in the fault window: one resolves, accounts
     and delivers every quantum's faults as one fleet pass
-    (``QuantumEngine._fault_window``), the oracle resolves and delivers
+    (``ProcessArena._fault_window``), the oracle resolves and delivers
     process by process through ``take_hint_faults`` and
     ``Kernel.deliver_faults``.  Every observable must match bit for
     bit -- page state, process and global stats, all policy state
@@ -535,7 +535,7 @@ class TestFleetFaultWindowOracle:
         with monkeypatch.context() as patch:
             if sequential:
                 patch.setattr(
-                    QuantumEngine, "_fault_window", sequential_fault_window
+                    ProcessArena, "_fault_window", sequential_fault_window
                 )
             result = run_experiment(
                 processes,

@@ -321,9 +321,10 @@ class TestReplay:
         payload_out = capsys.readouterr().out
         assert "2.0 s" in payload_out
 
-    def test_replay_missing_file(self):
-        with pytest.raises(FileNotFoundError):
-            main(["replay", "no/such/file.npz"] + REPLAY_MACHINE)
+    def test_replay_missing_file(self, capsys):
+        self._assert_one_line_error(
+            capsys, "no/such/file.npz", "No such file"
+        )
 
     def _assert_one_line_error(self, capsys, path, needle):
         code = main(["replay", str(path)] + REPLAY_MACHINE)

@@ -176,9 +176,7 @@ class TestFleetRuns:
             churn_fraction=0.25, base_delay_units=50
         )
         policy = setup.build_policy("linux-nb")
-        result = run_experiment(
-            processes, policy, setup.run_config(arena=True)
-        )
+        result = run_experiment(processes, policy, setup.run_config())
         assert result.throughput_per_sec > 0
         exiters = [
             p for p in processes if p.target_accesses is not None
