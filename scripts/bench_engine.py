@@ -17,17 +17,12 @@ graph500 grid compares warm-pool table reuse against the old
 rebuild-per-cell behaviour.  ``host_cpus`` is recorded with the
 ladder because parallel speedup is bounded by it.
 
-The fusion section times quantum fusion (one macro-quantum per
-steady-state stretch; see ``docs/SIMULATION.md``) against per-quantum
-stepping (``fusion=False``) on a steady-state Memtis/pmbench config,
-reporting quanta/sec both ways, the fusion ratio, and the speedup.
-
 The arena section times cross-process arena stepping (one batched
 array program per quantum; see ``docs/SIMULATION.md``) against the
 per-page oracle (``fast_path=False``) on a stepping-bound fleet
 config: 96 small processes at a fine 5 ms quantum (a 250 Hz kernel
 tick) with the kernel daemons *live* at the testbed's realistic
-periods (5 s Ticking scan, 1 s aging), fusion off in both modes.
+periods (5 s Ticking scan, 1 s aging).
 The arena is never quiesced: scan, aging, migration, and reclaim
 windows all run through the batched fleet passes, so the measured
 gap is per-quantum stepping cost under real transient load.  The
@@ -41,10 +36,9 @@ two-million-event synthetic stream with three known phases runs
 through the chunked trace compiler (``repro.workloads.compile``) and
 must bin + segment at least ``TRACE_COMPILE_FLOOR`` events per
 CPU-second.  Replay: the compiled three-phase trace replays for one
-full cycle with fusion on and off; the fused run's fusion ratio must
-clear ``TRACE_FUSION_RATIO_FLOOR`` (a phase-stable compiled trace
-rides the macro-quantum path) and the two runs must agree on
-throughput and FMAR within ``TRACE_EQUIV_TOLERANCE``.
+full cycle on the arena fast path and on the per-page oracle
+(``fast_path=False``); the two runs must agree on throughput and FMAR
+within ``TRACE_EQUIV_TOLERANCE``.
 
 The tournament section times the full registered-policy roster (all
 12 Table 1 policies) on one phase-changing ``shifting-hotspot``
@@ -79,10 +73,7 @@ optimized path at the default scale and fails (exit 1) when
 quanta/sec drops below ``QUICK_GATE_FRACTION`` of the committed
 baseline's ``after.quanta_per_sec``, when cold sweep throughput at
 jobs=2 drops below ``SWEEP_GATE_FRACTION`` of the committed ladder's
-matching rung, when fused steady-state quanta/sec drops below
-``FUSION_GATE_FRACTION`` of the committed fusion section, when the
-fused-vs-unfused speedup falls below ``FUSION_SPEEDUP_FLOOR``, or
-when the arena-vs-oracle speedup falls below
+matching rung, when the arena-vs-oracle speedup falls below
 ``ARENA_SPEEDUP_FLOOR`` (or arena quanta/sec below
 ``ARENA_GATE_FRACTION`` of the committed arena section, or the arena
 run's throughput or FMAR drifts more than ``ARENA_EQUIV_TOLERANCE``
@@ -145,27 +136,10 @@ QUICK_GATE_FRACTION = 0.7
 #: short grid amortizes poorly on slow runners.
 SWEEP_GATE_FRACTION = 0.5
 
-#: --quick fused-throughput floor, as a fraction of the committed
-#: fusion section's fused quanta/sec.  Looser than the quanta/sec gate
-#: because the quick run simulates a quarter of the full duration, so
-#: the warm-up stretch (where fusion cannot engage) weighs heavier.
-FUSION_GATE_FRACTION = 0.5
-
-#: --quick floor on the fused-vs-per-quantum speedup at the fusion
-#: config: fusion must actually pay for itself on steady-state work.
-FUSION_SPEEDUP_FLOOR = 1.2
-
-#: steady-state config for the fusion section: Memtis on stationary
-#: pmbench reaches a stable classification quickly, after which most
-#: quanta fuse up to the classify/aging event horizon.
-FUSION_POLICY = "memtis"
-FUSION_PROCS = 4
-FUSION_PAGES = 2_048
-
 #: stepping-bound fleet config for the arena section: many small
 #: processes at a fine 5 ms quantum (a 250 Hz kernel tick), kernel
 #: daemons *live* at the testbed's realistic periods (5 s Ticking
-#: scan, 1 s aging), fusion off in both modes.  The arena is never
+#: scan, 1 s aging).  The arena is never
 #: quiesced -- scan, aging, migration, and reclaim windows all run
 #: through the batched fleet passes -- so the arena-vs-oracle gap is
 #: per-quantum stepping cost under real transient load.
@@ -182,7 +156,8 @@ ARENA_DURATION_NS = 10 * SECOND
 #: --quick floor on the arena-vs-oracle speedup: one batched array
 #: program per quantum must beat the per-page oracle's per-process
 #: loop by at least this much at fleet scale, with the daemons live.
-ARENA_SPEEDUP_FLOOR = 2.0
+#: Half the 10.4x recorded on a 2-CPU host.
+ARENA_SPEEDUP_FLOOR = 5.0
 
 #: --quick arena-throughput floor, as a fraction of the committed
 #: arena section's quanta/sec (host-speed jitter allowance).
@@ -211,18 +186,12 @@ TRACE_COMPILE_FLOOR = 1_000_000.0
 TRACE_COMPILE_GATE_FRACTION = 0.5
 
 #: replay config: the compiled three-phase trace replayed as one
-#: process under a steady-state policy with fusion on vs off.  Each
-#: phase is stable for ``TRACE_WINDOWS_PER_PHASE`` windows, so the
-#: fused engine should cross most of every phase in macro-quanta.
+#: process, on the arena fast path and on the per-page oracle.
 TRACE_REPLAY_POLICY = "chrono"
 TRACE_REPLAY_EVENTS = 200_000
 
-#: floor on the fused replay's fusion ratio: a phase-stable compiled
-#: trace that cannot fuse half its quanta is not riding the fast path.
-TRACE_FUSION_RATIO_FLOOR = 0.5
-
-#: fused-vs-per-quantum replay equivalence tolerance (the arena
-#: suite's bound: rel 0.05, with the same 1e-4 FMAR absolute slack).
+#: arena-vs-oracle replay equivalence tolerance (the arena suite's
+#: bound: rel 0.05, with the same 1e-4 FMAR absolute slack).
 TRACE_EQUIV_TOLERANCE = 0.05
 
 #: worker-pool sizes for the sweep throughput ladder
@@ -575,69 +544,6 @@ def merge_stale_sections(payload, skipped, baseline_path, allow_stale):
     return True
 
 
-def time_fusion(duration_ns, best_of=1):
-    """Fused vs per-quantum stepping on the steady-state fusion config.
-
-    Both runs share (policy, workload, seed); they differ only in the
-    engine's ``fusion`` switch, so the quanta/sec gap is the cost of
-    stepping every quantum through a steady-state stretch the fused
-    engine crosses in one macro-quantum.  The simulation is
-    deterministic per mode -- only wall time varies between repeats --
-    so ``best_of > 1`` keeps each mode's fastest pass, which is the
-    least-noise estimate on a loaded runner.
-    """
-    runs = {}
-    for fusion in (True, False):
-        best = None
-        for _ in range(max(1, best_of)):
-            setup = StandardSetup(duration_ns=duration_ns)
-            policy = setup.build_policy(FUSION_POLICY)
-            processes = build_fleet(
-                setup, "pmbench",
-                n_procs=FUSION_PROCS, pages_per_proc=FUSION_PAGES,
-            )
-            start = time.perf_counter()
-            result = run_experiment(
-                processes, policy, setup.run_config(fusion=fusion)
-            )
-            wall = time.perf_counter() - start
-            if best is None or wall < best[0]:
-                best = (wall, result)
-        wall, result = best
-        engine = result.engine
-        runs["fused" if fusion else "per_quantum"] = {
-            "wall_sec": wall,
-            "quanta": engine.quanta_run,
-            "steps": engine.steps_run,
-            "fused_quanta": engine.fused_quanta,
-            "quanta_per_sec": (
-                engine.quanta_run / wall if wall else 0.0
-            ),
-            "fusion_ratio": (
-                engine.fused_quanta / engine.quanta_run
-                if engine.quanta_run else 0.0
-            ),
-            "throughput_per_sec": result.throughput_per_sec,
-            "fmar": result.fmar,
-        }
-    per_quantum_qps = runs["per_quantum"]["quanta_per_sec"]
-    return {
-        "config": {
-            "policy": FUSION_POLICY,
-            "workload": "pmbench",
-            "n_procs": FUSION_PROCS,
-            "pages_per_proc": FUSION_PAGES,
-            "duration_sec": duration_ns / SECOND,
-        },
-        "fused": runs["fused"],
-        "per_quantum": runs["per_quantum"],
-        "speedup": (
-            runs["fused"]["quanta_per_sec"] / per_quantum_qps
-            if per_quantum_qps else 0.0
-        ),
-    }
-
-
 def arena_setup(duration_ns) -> StandardSetup:
     return StandardSetup(
         duration_ns=duration_ns,
@@ -652,8 +558,8 @@ def arena_setup(duration_ns) -> StandardSetup:
 def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
     """Arena vs the per-page oracle on the stepping-bound fleet config.
 
-    Both runs share (policy, workload, seed) and run with fusion off;
-    they differ only in the engine's ``fast_path`` switch, so the
+    Both runs share (policy, workload, seed); they differ only in the
+    engine's ``fast_path`` switch, so the
     quanta/sec gap is the cost of looping the per-page oracle over
     ``ARENA_PROCS`` processes versus one batched array program over
     the concatenated arena.  Deterministic per mode, so ``best_of``
@@ -673,7 +579,7 @@ def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
             start = time.perf_counter()
             result = run_experiment(
                 processes, policy,
-                setup.run_config(fusion=False),
+                setup.run_config(),
                 fast_path=fast_path,
             )
             wall = time.perf_counter() - start
@@ -701,7 +607,6 @@ def time_arena(duration_ns=ARENA_DURATION_NS, best_of=3):
             "aging_period_sec": ARENA_AGING_PERIOD_NS / SECOND,
             "quantum_ms": ARENA_QUANTUM_NS / MILLISECOND,
             "duration_sec": duration_ns / SECOND,
-            "fusion": False,
         },
         "arena": runs["arena"],
         "oracle": runs["oracle"],
@@ -842,8 +747,9 @@ def time_trace_compile():
     }
 
 
-def _trace_replay_run(trace, fusion):
-    """Replay one compiled trace for one full cycle, fusion on or off."""
+def _trace_replay_run(trace, fast_path):
+    """Replay one compiled trace for one full cycle on the arena fast
+    path or the per-page oracle."""
     setup = StandardSetup(duration_ns=trace.total_ns)
     policy = setup.build_policy(TRACE_REPLAY_POLICY)
     streams = RngStreams(setup.seed)
@@ -857,34 +763,25 @@ def _trace_replay_run(trace, fusion):
     ]
     start = time.perf_counter()
     result = run_experiment(
-        processes, policy, setup.run_config(fusion=fusion)
+        processes, policy, setup.run_config(), fast_path=fast_path
     )
     wall = time.perf_counter() - start
-    engine = result.engine
+    quanta = result.engine.quanta_run
     return {
         "wall_sec": wall,
-        "quanta": engine.quanta_run,
-        "fused_quanta": engine.fused_quanta,
-        "quanta_per_sec": (
-            engine.quanta_run / wall if wall else 0.0
-        ),
-        "fusion_ratio": (
-            engine.fused_quanta / engine.quanta_run
-            if engine.quanta_run else 0.0
-        ),
+        "quanta": quanta,
+        "quanta_per_sec": quanta / wall if wall else 0.0,
         "throughput_per_sec": result.throughput_per_sec,
         "fmar": result.fmar,
     }
 
 
 def time_trace_replay(best_of=1):
-    """Fused vs per-quantum replay of the compiled three-phase trace.
+    """Arena vs oracle replay of the compiled three-phase trace.
 
     The trace is compiled once and both modes replay the identical
-    phase tables, so the fused run's fusion ratio measures how much of
-    a phase-stable compiled trace the engine crosses in macro-quanta,
-    and the fused-vs-per-quantum rel errors are the replay-fidelity
-    check at the arena suite's tolerance.
+    phase tables, so the arena-vs-oracle rel errors are the
+    replay-fidelity check at the arena suite's tolerance.
     """
     trace = compile_event_stream(
         synthetic_event_stream(
@@ -896,24 +793,24 @@ def time_trace_replay(best_of=1):
         n_pages=TRACE_COMPILE_PAGES,
     )[0]
     runs = {}
-    for fusion in (True, False):
+    for fast_path in (True, False):
         best = None
         for _ in range(max(1, best_of)):
-            run = _trace_replay_run(trace, fusion)
+            run = _trace_replay_run(trace, fast_path)
             if best is None or run["wall_sec"] < best["wall_sec"]:
                 best = run
-        runs["fused" if fusion else "per_quantum"] = best
-    fused = runs["fused"]
-    per_quantum = runs["per_quantum"]
+        runs["arena" if fast_path else "oracle"] = best
+    arena = runs["arena"]
+    oracle = runs["oracle"]
     throughput_err = rel_err(
-        fused["throughput_per_sec"], per_quantum["throughput_per_sec"]
+        arena["throughput_per_sec"], oracle["throughput_per_sec"]
     )
-    fmar_err = rel_err(fused["fmar"], per_quantum["fmar"])
+    fmar_err = rel_err(arena["fmar"], oracle["fmar"])
     equivalent = throughput_err <= TRACE_EQUIV_TOLERANCE and (
         fmar_err <= TRACE_EQUIV_TOLERANCE
-        or abs(fused["fmar"] - per_quantum["fmar"]) <= 1e-4
+        or abs(arena["fmar"] - oracle["fmar"]) <= 1e-4
     )
-    per_quantum_qps = per_quantum["quanta_per_sec"]
+    oracle_qps = oracle["quanta_per_sec"]
     return {
         "trace": {
             "n_events": trace.n_events,
@@ -924,11 +821,10 @@ def time_trace_replay(best_of=1):
             "cycle_sec": trace.total_ns / SECOND,
         },
         "policy": TRACE_REPLAY_POLICY,
-        "fused": fused,
-        "per_quantum": per_quantum,
+        "arena": arena,
+        "oracle": oracle,
         "speedup": (
-            fused["quanta_per_sec"] / per_quantum_qps
-            if per_quantum_qps else 0.0
+            arena["quanta_per_sec"] / oracle_qps if oracle_qps else 0.0
         ),
         "equivalence": {
             "throughput_rel_err": throughput_err,
@@ -956,14 +852,12 @@ def print_trace(section):
         "phases detected)"
     )
     replay = section["replay"]
-    fused = replay["fused"]
     equiv = replay["equivalence"]
     print(
         f"  trace replay ({TRACE_REPLAY_POLICY}, "
         f"{replay['trace']['n_phases']} phases): "
-        f"fused {fused['quanta_per_sec']:8.1f} q/s "
-        f"({fused['fusion_ratio']:.0%} of quanta fused), "
-        f"speedup {replay['speedup']:.2f}x, "
+        f"arena {replay['arena']['quanta_per_sec']:8.1f} q/s, "
+        f"oracle {replay['oracle']['quanta_per_sec']:8.1f} q/s, "
         f"fidelity={'ok' if equiv['ok'] else 'FAIL'}"
     )
 
@@ -971,12 +865,11 @@ def print_trace(section):
 def run_quick_trace_gate(baseline):
     """Trace compile and replay floors vs the committed trace section.
 
-    Four floors: compile throughput must clear ``TRACE_COMPILE_FLOOR``
+    Three floors: compile throughput must clear ``TRACE_COMPILE_FLOOR``
     events per CPU-second absolutely and
     ``TRACE_COMPILE_GATE_FRACTION`` of the committed section; the
-    fused replay's fusion ratio must clear
-    ``TRACE_FUSION_RATIO_FLOOR`` and its fused-vs-per-quantum rel
-    errors must stay inside ``TRACE_EQUIV_TOLERANCE``.  A missing or
+    replay's arena-vs-oracle rel errors must stay inside
+    ``TRACE_EQUIV_TOLERANCE``.  A missing or
     pre-trace baseline skips the committed-value comparison; the
     absolute floors always apply.  Returns ``(section, ok)``.
     """
@@ -996,7 +889,6 @@ def run_quick_trace_gate(baseline):
     section["compile"]["floor_events_per_cpu_sec"] = TRACE_COMPILE_FLOOR
     section["compile"]["baseline_events_per_cpu_sec"] = committed_compile
     section["compile"]["gate_fraction"] = TRACE_COMPILE_GATE_FRACTION
-    section["replay"]["fusion_ratio_floor"] = TRACE_FUSION_RATIO_FLOOR
     ok = True
     measured_compile = section["compile"]["events_per_cpu_sec"]
     if measured_compile < TRACE_COMPILE_FLOOR:
@@ -1016,17 +908,10 @@ def run_quick_trace_gate(baseline):
                 "regression floor"
             )
             ok = False
-    ratio = section["replay"]["fused"]["fusion_ratio"]
-    if ratio < TRACE_FUSION_RATIO_FLOOR:
-        print(
-            f"  FAIL: replay fusion ratio {ratio:.0%} is below the "
-            f"{TRACE_FUSION_RATIO_FLOOR:.0%} floor"
-        )
-        ok = False
     if not section["replay"]["equivalence"]["ok"]:
         print(
-            "  FAIL: fused replay is not statistically equivalent to "
-            "the per-quantum replay"
+            "  FAIL: arena replay is not statistically equivalent to "
+            "the oracle replay"
         )
         ok = False
     if committed_compile is None:
@@ -1037,18 +922,6 @@ def run_quick_trace_gate(baseline):
     if ok:
         print("  trace gate passed")
     return section, ok
-
-
-def print_fusion(section):
-    fused = section["fused"]
-    per_quantum = section["per_quantum"]
-    print(
-        f"  fusion ({FUSION_POLICY}, pmbench x{FUSION_PROCS}): "
-        f"fused {fused['quanta_per_sec']:8.1f} q/s "
-        f"({fused['fusion_ratio']:.0%} of quanta fused), "
-        f"per-quantum {per_quantum['quanta_per_sec']:8.1f} q/s, "
-        f"speedup {section['speedup']:.2f}x"
-    )
 
 
 def scaling_setup(pages_per_proc: int) -> StandardSetup:
@@ -1267,60 +1140,6 @@ def run_quick_sweep_gate(baseline):
     return section, True
 
 
-def run_quick_fusion_gate(baseline, duration_ns):
-    """Fused steady-state throughput and speedup vs the committed
-    fusion section.
-
-    Two floors: the fused-vs-per-quantum speedup must clear
-    ``FUSION_SPEEDUP_FLOOR`` (fusion pays for itself), and fused
-    quanta/sec must stay above ``FUSION_GATE_FRACTION`` of the
-    committed fusion section.  A missing or pre-fusion baseline skips
-    the throughput comparison; the speedup floor always applies.
-    Returns ``(section, ok)``.
-    """
-    committed = None
-    try:
-        committed = float(baseline["fusion"]["fused"]["quanta_per_sec"])
-    except (KeyError, ValueError, TypeError):
-        pass
-    print(
-        f"  fusion gate: {FUSION_POLICY}, pmbench x{FUSION_PROCS}, "
-        f"{duration_ns / SECOND:.0f}s simulated, best of 3"
-    )
-    # Best-of-3: the speedup is a ratio of two wall timings, so a
-    # single noisy pass on a loaded 1-core runner can flip the gate.
-    section = time_fusion(duration_ns, best_of=3)
-    print_fusion(section)
-    section["baseline_fused_quanta_per_sec"] = committed
-    section["gate_fraction"] = FUSION_GATE_FRACTION
-    section["speedup_floor"] = FUSION_SPEEDUP_FLOOR
-    ok = True
-    if section["speedup"] < FUSION_SPEEDUP_FLOOR:
-        print(
-            f"  FAIL: fused speedup {section['speedup']:.2f}x is below "
-            f"the {FUSION_SPEEDUP_FLOOR:.1f}x floor"
-        )
-        ok = False
-    if committed is None:
-        print("  no committed fusion section; throughput gate skipped")
-        return section, ok
-    floor = FUSION_GATE_FRACTION * committed
-    measured = section["fused"]["quanta_per_sec"]
-    print(
-        f"  baseline: {committed:8.1f} fused quanta/sec "
-        f"(floor {floor:.1f} = {FUSION_GATE_FRACTION:.0%})"
-    )
-    if measured < floor:
-        print(
-            f"  FAIL: {measured:.1f} fused quanta/sec is below the "
-            f"{FUSION_GATE_FRACTION:.0%} fusion regression floor"
-        )
-        ok = False
-    elif ok:
-        print("  fusion gate passed")
-    return section, ok
-
-
 def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
     """CI perf smoke: optimized path only, gated on the committed JSON."""
     baseline = None
@@ -1362,9 +1181,6 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
             print("  gate passed")
 
     sweep_section, sweep_ok = run_quick_sweep_gate(baseline)
-    fusion_section, fusion_ok = run_quick_fusion_gate(
-        baseline, duration_ns
-    )
     arena_section, arena_ok = run_quick_arena_gate(baseline)
     trace_section, trace_ok = run_quick_trace_gate(baseline)
 
@@ -1400,16 +1216,13 @@ def run_quick_gate(args, baseline_path: pathlib.Path) -> int:
         "baseline_quanta_per_sec": committed,
         "gate_fraction": QUICK_GATE_FRACTION,
         "sweep_gate": sweep_section,
-        "fusion_gate": fusion_section,
         "arena_gate": arena_section,
         "trace_gate": trace_section,
     }
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"  wrote {out}")
-    all_ok = (
-        quanta_ok and sweep_ok and fusion_ok and arena_ok and trace_ok
-    )
+    all_ok = quanta_ok and sweep_ok and arena_ok and trace_ok
     return 0 if all_ok else 1
 
 
@@ -1443,17 +1256,14 @@ def main(argv=None) -> int:
             f"{QUICK_GATE_FRACTION:.0%} of the committed baseline, "
             "cold sweep cells/sec at jobs=2 drops below "
             f"{SWEEP_GATE_FRACTION:.0%} of the committed ladder rung, "
-            "fused quanta/sec drops below "
-            f"{FUSION_GATE_FRACTION:.0%} of the committed fusion "
-            "section, the fused-vs-per-quantum speedup falls below "
-            f"{FUSION_SPEEDUP_FLOOR:.1f}x, the arena-vs-oracle "
+            "the arena-vs-oracle "
             f"speedup falls below {ARENA_SPEEDUP_FLOOR:.1f}x, the "
             "arena run drifts more than "
             f"{ARENA_EQUIV_TOLERANCE:.0%} from the oracle on "
             "throughput or FMAR, trace compile throughput falls below "
             f"{TRACE_COMPILE_FLOOR / 1e6:.0f}M events/cpu-sec, or the "
-            "replayed trace's fusion ratio falls below "
-            f"{TRACE_FUSION_RATIO_FLOOR:.0%}"
+            "replayed trace drifts more than "
+            f"{TRACE_EQUIV_TOLERANCE:.0%} from its oracle replay"
         ),
     )
     parser.add_argument(
@@ -1559,8 +1369,6 @@ def main(argv=None) -> int:
         )
     tournament = time_tournament(duration_ns // 4)
     print_tournament(tournament)
-    fusion = time_fusion(duration_ns)
-    print_fusion(fusion)
     arena = time_arena()
     print_arena(arena)
     trace = time_trace()
@@ -1594,7 +1402,6 @@ def main(argv=None) -> int:
         "sweep": sweep,
         "warm_vs_cold": warm_vs_cold,
         "tournament": tournament,
-        "fusion": fusion,
         "arena": arena,
         "trace": trace,
         "scaling": scaling,
@@ -1621,20 +1428,10 @@ def main(argv=None) -> int:
             f"{TRACE_COMPILE_FLOOR / 1e6:.0f}M floor"
         )
         ok = False
-    if (
-        trace["replay"]["fused"]["fusion_ratio"]
-        < TRACE_FUSION_RATIO_FLOOR
-    ):
-        print(
-            "  FAIL: replay fusion ratio "
-            f"{trace['replay']['fused']['fusion_ratio']:.0%} is below "
-            f"the {TRACE_FUSION_RATIO_FLOOR:.0%} floor"
-        )
-        ok = False
     if not trace["replay"]["equivalence"]["ok"]:
         print(
-            "  FAIL: fused replay is not statistically equivalent to "
-            "the per-quantum replay"
+            "  FAIL: arena replay is not statistically equivalent to "
+            "the oracle replay"
         )
         ok = False
     return 0 if ok else 1

@@ -22,7 +22,7 @@ Nine subcommands:
   leaderboard and writes a JSON artifact.
 * ``chrono-sim replay`` -- compile recorded traces (window ``.npz``,
   event ``.npz``, or event ``.csv``) through the trace compiler and
-  replay them on the fused fast path under any policy.
+  replay them on the batched arena fast path under any policy.
 * ``chrono-sim traffic`` -- the fleet traffic generator: Zipf tenant
   popularity, diurnal load, churn, and scripted phase shifts on the
   batched arena fast path.
@@ -57,6 +57,7 @@ from repro.harness.reporting import (
     throughput_table,
 )
 from repro.harness.runner import run_experiment
+from repro.kernel.kernel import CapacityError, Kernel
 from repro.harness.sweep import default_jobs, iter_cells
 from repro.obs.hub import ObsHub
 from repro.obs.tracefile import (
@@ -213,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     tour_p.add_argument("--page-scale", type=int, default=64,
                         help="real pages per simulated page (default: 64)")
     tour_p.add_argument(
-        "--no-fusion", action="store_true",
-        help="disable event-horizon quantum fusion in every cell",
-    )
-    tour_p.add_argument(
         "--out", metavar="FILE", default="tournament.json",
         help="leaderboard JSON artifact path (default: "
         "tournament.json)",
@@ -233,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay_p = sub.add_parser(
         "replay",
-        help="compile recorded traces and replay them on the fused "
+        help="compile recorded traces and replay them on the arena "
         "fast path",
     )
     replay_p.add_argument(
@@ -276,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p.add_argument("--seed", type=_seed_arg, default=0,
                           help="root RNG seed (default: 0)")
     replay_p.add_argument(
-        "--no-fusion", action="store_true",
-        help="disable event-horizon quantum fusion",
-    )
-    replay_p.add_argument(
         "--json", action="store_true",
         help="emit machine-readable JSON instead of a table",
     )
@@ -311,12 +304,12 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--procs", type=_positive_int, default=8,
                         help="number of processes (default: 8)")
-    parser.add_argument("--pages", type=int, default=4_096,
+    parser.add_argument("--pages", type=_positive_int, default=4_096,
                         help="pages per process (default: 4096)")
     parser.add_argument("--rw-ratio", type=float, default=0.95,
                         help="read share for pmbench (default: 0.95)")
     parser.add_argument(
-        "--tenants", type=int, default=50,
+        "--tenants", type=_positive_int, default=50,
         help="tenant count for the multitenant workload (default: 50)",
     )
     parser.add_argument(
@@ -336,12 +329,12 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
         "multitenant tenants (default: 1)",
     )
     parser.add_argument(
-        "--users", type=int, default=1_000_000,
+        "--users", type=_positive_int, default=1_000_000,
         help="simulated users mapped onto traffic-workload tenants "
         "via Zipf popularity (default: 1000000)",
     )
     parser.add_argument(
-        "--patterns", type=int, default=8,
+        "--patterns", type=_positive_int, default=8,
         help="distinct shared page-popularity tables for the traffic "
         "workload (default: 8)",
     )
@@ -351,12 +344,12 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
         "(default: 1.1)",
     )
     parser.add_argument(
-        "--churn-fraction", type=float, default=0.0,
+        "--churn-fraction", type=_fraction, default=0.0,
         help="fraction of traffic-workload tenants that churn: half "
         "exit mid-run, half spawn mid-run (default: 0)",
     )
     parser.add_argument(
-        "--shift-fraction", type=float, default=0.0,
+        "--shift-fraction", type=_fraction, default=0.0,
         help="fraction of traffic-workload tenants with scripted "
         "phase shifts between two pattern tables (default: 0)",
     )
@@ -370,13 +363,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="real pages per simulated page (default: 64)")
     parser.add_argument("--seed", type=_seed_arg, default=0,
                         help="root RNG seed (default: 0)")
-    parser.add_argument(
-        "--no-fusion", action="store_true",
-        help=(
-            "disable event-horizon quantum fusion (per-quantum "
-            "reference stepping; slower, for equivalence checking)"
-        ),
-    )
 
 
 def _bounded(kind, accept, message: str):
@@ -402,6 +388,7 @@ _non_negative_float = _bounded(
     float, lambda v: math.isfinite(v) and v >= 0,
     "must be a finite number >= 0",
 )
+_fraction = _bounded(float, lambda v: 0 <= v <= 1, "must be within [0, 1]")
 
 
 def _jobs_arg(value: str) -> int:
@@ -455,14 +442,6 @@ def _setup_kwargs(args) -> dict:
     )
 
 
-def _config_overrides(args) -> dict:
-    """RunConfig overrides derived from engine-mode flags."""
-    overrides = {}
-    if args.no_fusion:
-        overrides["fusion"] = False
-    return overrides
-
-
 def _workload_kwargs(args) -> dict:
     if args.workload == "multitenant":
         return dict(
@@ -512,7 +491,7 @@ def cmd_run(args) -> int:
         hub = ObsHub.create(trace_sink=args.trace, metrics=args.metrics)
     try:
         result = run_experiment(
-            processes, policy, setup.run_config(**_config_overrides(args)),
+            processes, policy, setup.run_config(),
             profile=args.profile, obs=hub,
         )
     finally:
@@ -712,7 +691,6 @@ def cmd_compare(args) -> int:
         seed=args.seed,
         workload_kwargs=_workload_kwargs(args),
         setup_kwargs=_setup_kwargs(args),
-        config_overrides=_config_overrides(args),
         share_tables=not args.no_shm,
     )
     title = (
@@ -745,7 +723,6 @@ def cmd_sweep(args) -> int:
                 seed=seed,
                 workload_kwargs=_workload_kwargs(args),
                 setup_kwargs=_setup_kwargs(args),
-                config_overrides=_config_overrides(args),
             )
         )
     jobs = _resolve_jobs(args.jobs)
@@ -848,7 +825,6 @@ def cmd_tournament(args) -> int:
         use_cache=not args.no_cache,
         share_tables=not args.no_shm,
         setup_kwargs=setup_kwargs,
-        config_overrides=_config_overrides(args),
         progress=progress if args.progress else None,
     )
     result.write_json(args.out)
@@ -859,13 +835,6 @@ def cmd_tournament(args) -> int:
         print()
         print(f"leaderboard JSON written to {args.out}")
     return 0
-
-
-def _fusion_ratio(engine) -> float:
-    """Fraction of simulated quanta the engine covered with fused steps."""
-    if engine is None or not engine.quanta_run:
-        return 0.0
-    return engine.fused_quanta / engine.quanta_run
 
 
 def cmd_replay(args) -> int:
@@ -919,9 +888,8 @@ def cmd_replay(args) -> int:
     )
     policy = setup.build_policy(args.policy)
     result = run_experiment(
-        processes, policy, setup.run_config(**_config_overrides(args))
+        processes, policy, setup.run_config()
     )
-    ratio = _fusion_ratio(result.engine)
     traces = [
         {
             "file": str(path),
@@ -942,7 +910,6 @@ def cmd_replay(args) -> int:
             "duration_sec": result.duration_ns / 1e9,
             "throughput_per_sec": result.throughput_per_sec,
             "fmar": result.fmar,
-            "fusion_ratio": ratio,
             "traces": traces,
         }, indent=2))
         return 0
@@ -951,7 +918,6 @@ def cmd_replay(args) -> int:
     print(f"simulated         {result.duration_ns / 1e9:.1f} s")
     print(f"throughput        {result.throughput_per_sec:.3e} ops/s")
     print(f"FMAR              {100 * result.fmar:.1f} %")
-    print(f"fusion ratio      {100 * ratio:.1f} %")
     print()
     print(format_table(
         ["file", "pid", "events", "windows", "idle", "phases"],
@@ -975,9 +941,8 @@ def cmd_traffic(args) -> int:
     policy = setup.build_policy(args.policy)
     processes = build_fleet(setup, "traffic", **_workload_kwargs(args))
     result = run_experiment(
-        processes, policy, setup.run_config(**_config_overrides(args))
+        processes, policy, setup.run_config()
     )
-    ratio = _fusion_ratio(result.engine)
     finished = sum(process.finished for process in processes)
     payload = {
         "policy": result.policy_name,
@@ -987,7 +952,6 @@ def cmd_traffic(args) -> int:
         "duration_sec": result.duration_ns / 1e9,
         "throughput_per_sec": result.throughput_per_sec,
         "fmar": result.fmar,
-        "fusion_ratio": ratio,
         "tenants_exited": finished,
     }
     if args.json:
@@ -999,7 +963,6 @@ def cmd_traffic(args) -> int:
     print(f"simulated         {result.duration_ns / 1e9:.1f} s")
     print(f"throughput        {result.throughput_per_sec:.3e} ops/s")
     print(f"FMAR              {100 * result.fmar:.1f} %")
-    print(f"fusion ratio      {100 * ratio:.1f} %")
     print(f"tenants exited    {finished}")
     return 0
 
@@ -1014,8 +977,6 @@ def cmd_policies(_args) -> int:
 
 def cmd_defaults(_args) -> int:
     """Print Chrono's Table 2 parameter defaults."""
-    from repro.kernel.kernel import Kernel
-
     kernel = Kernel()
     kernel.set_policy(make_policy("chrono"))
     print(kernel.sysctl.describe())
@@ -1036,7 +997,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "policies": cmd_policies,
         "defaults": cmd_defaults,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,14 +45,6 @@ class ChronoPolicy(TieringPolicy):
 
     name = "chrono"
 
-    # Fusion contract: Chrono has no ``on_quantum``; CIT measurement
-    # rides the hint-fault path (exact under fused Poisson-merged
-    # sampling) and drain/tune/DCSC adaptation are scheduler events
-    # (``chrono-drain``/``chrono-tune``/``chrono-dcsc``), so the event
-    # horizon bounds fusion to the drain period without a policy cap.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         n_filter_rounds: int = 2,

@@ -4,7 +4,7 @@ Stepping a fleet one process at a time spends the step in per-process
 numpy dispatch and Python bookkeeping.  The arena concatenates every
 process's page-level state into one global address space partitioned
 into *segments* (one per process, in ``kernel.processes`` order) and
-executes each (macro-)quantum as a single segment-wise array program:
+executes each quantum as a single segment-wise array program:
 
 ::
 
@@ -16,7 +16,6 @@ executes each (macro-)quantum as a single segment-wise array program:
     offsets   ^0          ^s1         ^s2     ^s3          ^s4  seg_starts
     per-seg   tier-mass rows   [n_segs x n_tiers]   (journal-repaired)
     ledger    open run: probs refs per segment + accumulated n vector
-    witness   epoch / protect-epoch vectors + probs refs (fusion)
 
 One quantum is then:
 
@@ -56,7 +55,7 @@ One quantum is then:
    keys) and scatter into per-process mixtures once per run,
 7. one *demand fold*: per-tier byte demand summed over segments.
 
-Equivalence contract (``docs/SIMULATION.md`` section 7): the arena
+Equivalence contract (``docs/SIMULATION.md`` section 6): the arena
 matches the per-page oracle (``QuantumEngine(fast_path=False)``)
 statistically -- same laws, different RNG consumption -- not bit for
 bit.  ``tests/test_pressured_oracle.py`` and ``tests/test_harness_arena.py``
@@ -139,11 +138,11 @@ class ProcessArena:
         total = int(self.seg_starts[-1])
         #: concatenated access distributions (refreshed per segment on a
         #: phase change) and tier ids (scattered O(moved) on repair);
-        #: both feed the fused full-recount path
+        #: both feed the full-recount path
         self.concat_probs = np.zeros(total, dtype=np.float64)
         self.concat_tier = np.zeros(total, dtype=np.int8)
         #: the *original* immutable distribution array per segment --
-        #: ledger runs and witnesses hold these by reference (the
+        #: ledger runs hold these by reference (the
         #: concatenated copy above can never serve identity checks)
         self.probs_refs: List[Optional[np.ndarray]] = [None] * n_segs
         # Per-segment tier-mass rows: keyed by (probs identity,
@@ -159,12 +158,6 @@ class ProcessArena:
         # segment against ``probs_refs``.  ``_drain_seg`` lazily moves a
         # segment's share into its PageState pending ledger.
         self.open_n = np.zeros(n_segs, dtype=np.float64)
-        # Steady-state witness vectors (the fusion contract): what the
-        # last quantum ran against and the state it left behind.
-        self.witness_epoch: List[int] = [-1] * n_segs
-        self.witness_protect_epoch: List[int] = [-1] * n_segs
-        self.witness_probs: List[Optional[np.ndarray]] = [None] * n_segs
-        self._index = {p.pid: i for i, p in enumerate(self.processes)}
         # Per-step scratch vectors (all O(n_segs)).
         self._wf = np.zeros(n_segs, dtype=np.float64)
         self._rf = np.zeros(n_segs, dtype=np.float64)
@@ -233,7 +226,7 @@ class ProcessArena:
     # Construction / teardown
     # ------------------------------------------------------------------
     def _build_masses(self) -> None:
-        """Initial tier-mass rows via one fused segment-sum.
+        """Initial tier-mass rows via one segment-sum.
 
         ``bincount`` over ``seg_id * n_tiers + tier`` accumulates every
         segment's per-tier mass in one pass over the concatenated
@@ -393,7 +386,7 @@ class ProcessArena:
         self.mass_resync[i] = self.MASS_RESYNC_MOVES
 
     def _repair_mass_many(self, stale: List[Any]) -> None:
-        """Repair several stale segments in one fused journal replay.
+        """Repair several stale segments in one journal replay.
 
         ``stale`` holds ``(i, proc)`` pairs whose ``mass_epoch`` lags
         their pages' epoch.  A single stale segment delegates to
@@ -459,28 +452,6 @@ class ProcessArena:
             np.maximum(mass_flat, 0.0, out=mass_flat)
 
     # ------------------------------------------------------------------
-    # Fusion witness
-    # ------------------------------------------------------------------
-    def witness(self, process: Any):
-        """``(probs, epoch, protect_epoch)`` from the last quantum, or
-        ``None`` when this process has no arena witness yet."""
-        i = self._index.get(process.pid)
-        if i is None or self.witness_epoch[i] < 0:
-            return None
-        return (
-            self.witness_probs[i],
-            int(self.witness_epoch[i]),
-            int(self.witness_protect_epoch[i]),
-        )
-
-    def accesses(self, process: Any) -> float:
-        """``process``'s live access count: its flushed ``stats`` plus
-        the arena's not-yet-flushed accumulator."""
-        i = self._index.get(process.pid)
-        pending = 0.0 if i is None else float(self._acc_n[i])
-        return process.stats.accesses + pending
-
-    # ------------------------------------------------------------------
     # Hot-loop maintenance
     # ------------------------------------------------------------------
     def _retire_rows(self) -> None:
@@ -502,7 +473,7 @@ class ProcessArena:
         the old distribution, then swap in the new slice.  The profile
         scalars (write fraction, compute delay) refresh here too -- a
         workload that changes them must swap its distribution object,
-        the same identity contract the fusion witness relies on."""
+        the identity the gather pass compares."""
         self._drain_seg(i)
         lo, hi = int(self.seg_starts[i]), int(self.seg_starts[i + 1])
         self.concat_probs[lo:hi] = probs
@@ -527,7 +498,7 @@ class ProcessArena:
     # The batched step
     # ------------------------------------------------------------------
     def step(self, start_ns: int, quantum_ns: int) -> np.ndarray:
-        """Execute one (macro-)quantum for every process; returns the
+        """Execute one quantum for every process; returns the
         fleet's per-tier byte demand."""
         engine = self.engine
         profiler = self.kernel.profiler
@@ -675,7 +646,7 @@ class ProcessArena:
         if profiler is not None:
             profiler.pop()
 
-        # ---- Phase 7: policy hooks, finish checks, witness ------------------
+        # ---- Phase 7: policy hooks, finish checks ---------------------------
         hook = self._resolve_policy_hook(self.kernel.policy)
         if hook is not None:
             if profiler is not None:
@@ -694,17 +665,6 @@ class ProcessArena:
                 proc.finished = True
                 live_mask[i] = False
                 retired = True
-        if engine.fusion:
-            # The witness only feeds the fusion-horizon check; without
-            # fusion nothing reads it, so skip the per-row update loop.
-            w_probs = self.witness_probs
-            w_epoch = self.witness_epoch
-            w_protect = self.witness_protect_epoch
-            for row in rows:
-                i, proc, workload, pages = row
-                w_probs[i] = refs[i]
-                w_epoch[i] = pages.epoch
-                w_protect[i] = pages.protect_epoch
         if retired:
             self._retire_rows()
         return self._demand_out

@@ -22,10 +22,10 @@ LRU aging, and policy daemons.
 The engine steps the fleet two ways:
 
 * **The fast path** (the default; ``docs/SIMULATION.md`` sections 5
-  and 7) executes every (macro-)quantum as one batched array program
-  over a cross-process page arena (:mod:`repro.harness.arena`): one
-  gather pass, one vectorised pricing solve against per-segment tier
-  masses (repaired in O(moved) from the page-state move journal), one
+  and 6) executes every quantum as one batched array program over a
+  cross-process page arena (:mod:`repro.harness.arena`): one gather
+  pass, one vectorised pricing solve against per-segment tier masses
+  (repaired in O(moved) from the page-state move journal), one
   aggregate hint-fault draw, one deferred ledger account, one latency
   fold and one demand fold.  Steady-state cost is amortized O(tiers)
   per process plus O(pages that changed), while preserving the
@@ -39,30 +39,11 @@ The engine steps the fleet two ways:
   bit; ``tests/test_pressured_oracle.py`` checks them against each
   other under memory pressure.
 
-**Quantum fusion** (``docs/SIMULATION.md`` section 6) takes the fast
-path's steady-state stepping cost from O(quanta) to O(kernel events):
-before each step the engine peeks the kernel timer queue
-(:meth:`Kernel.next_event_ns`) and, when every process is provably in
-steady state -- distribution array unchanged (identity), placement
-epoch unchanged, protection epoch unchanged, workload stable through
-the window -- it fuses all quanta up to the event horizon into one
-macro-quantum of ``n·K`` nanoseconds.  One ledger run, one merged
-fault draw (exact by Poisson merging: the first-arrival law over the
-fused window equals the per-quantum composition), one latency fold,
-one contention evaluation carried from the converged previous demand.
-The steady-state witness lives in the arena's per-segment epoch
-vectors.  Policies bound fusion through ``needs_per_quantum`` /
-``max_fusion_quanta`` (see :class:`repro.policies.base.TieringPolicy`);
-``fusion=False`` (the ``fusion_reference`` mode, CLI ``--no-fusion``)
-preserves per-quantum stepping for equivalence gating.  When fusion
-never engages the trajectory is bit-identical to ``fusion=False``:
-the horizon check consumes no RNG and a one-quantum step executes the
-exact per-quantum arena step.
+Either way the engine takes exactly one step per quantum.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
@@ -86,7 +67,6 @@ class QuantumEngine:
         kernel: Kernel,
         quantum_ns: int = 50 * MILLISECOND,
         fast_path: bool = True,
-        fusion: bool = True,
     ) -> None:
         if quantum_ns <= 0:
             raise ValueError("quantum must be positive")
@@ -95,11 +75,6 @@ class QuantumEngine:
         #: ``True`` steps the fleet through the arena (the fast path);
         #: ``False`` runs the per-page oracle, ``run_quantum``
         self.fast_path = bool(fast_path)
-        #: quantum fusion enabled?  ``False`` is the ``fusion_reference``
-        #: mode: per-quantum stepping, for equivalence gating.  Fusion
-        #: additionally requires the fast path (the oracle steps one
-        #: quantum at a time by construction).
-        self.fusion = bool(fusion) and self.fast_path
         #: lazily built :class:`repro.harness.arena.ProcessArena`;
         #: rebuilt whenever the fleet changes, torn down at run end
         self._arena = None
@@ -133,11 +108,11 @@ class QuantumEngine:
         #: shared early-return value for finished processes; callers only
         #: accumulate it, so one zero vector serves every quantum
         self._zero_demand = np.zeros(n_tiers, dtype=np.float64)
-        #: simulated quanta covered (a fused step counts all its quanta)
+        #: simulated quanta run
         self.quanta_run = 0
-        #: engine loop iterations (fused or single)
+        # perfbench/worker.py reads these two: one step per quantum, so
+        # steps_run == quanta_run and fused_quanta == 0.
         self.steps_run = 0
-        #: quanta covered by fused (multi-quantum) steps
         self.fused_quanta = 0
 
     # ------------------------------------------------------------------
@@ -186,46 +161,17 @@ class QuantumEngine:
         try:
             end_ns = clock.now + duration_ns
             next_observe = clock.now
-            policy = self.kernel.policy
-            fusion_on = self.fusion and not getattr(
-                policy, "needs_per_quantum", False
-            )
-            max_fuse = getattr(policy, "max_fusion_quanta", None)
-            observe_bound = next_observe if observer is not None else None
-            prev_multipliers = self._multipliers
             while clock.now < end_ns:
                 start = clock.now
                 quantum = min(self.quantum_ns, end_ns - start)
                 # All processes price this quantum against the same
                 # previous-quantum demand: compute the contention vector
                 # once here instead of per process.
-                self._multipliers = multipliers = (
+                self._multipliers = (
                     self.kernel.machine.contention_multipliers(
                         self._prev_demand_bytes_per_sec
                     )
                 )
-                n_fused = 1
-                if fusion_on and quantum == self.quantum_ns:
-                    # A fused window holds one contention vector for its
-                    # whole span, so fusion additionally requires the
-                    # contention feedback loop to have converged: a
-                    # migration burst or phase change spikes the demand
-                    # for one quantum, and reference stepping decays the
-                    # spiked multiplier after a single quantum -- holding
-                    # it across a macro-quantum would systematically
-                    # overprice the window.
-                    if bool(
-                        (
-                            np.abs(multipliers - prev_multipliers)
-                            <= self.FUSION_CONTENTION_TOL
-                            * prev_multipliers
-                        ).all()
-                    ):
-                        n_fused = self._fusion_horizon(
-                            start, end_ns, observe_bound, max_fuse
-                        )
-                prev_multipliers = multipliers
-                macro_ns = quantum * n_fused
                 machine = self.kernel.machine
                 # The per-quantum latency tables and their mixture keys
                 # are fixed once the multipliers are known; derive them
@@ -239,26 +185,26 @@ class QuantumEngine:
                 demand = self._demand_accum
                 demand.fill(0.0)
                 if self.fast_path:
-                    demand += self._arena_step(start, macro_ns)
+                    demand += self._arena_step(start, quantum)
                 else:
                     for process in self.kernel.processes:
                         demand += self.run_quantum(
-                            process, start, macro_ns
+                            process, start, quantum
                         )
                 # Fold migration traffic into the demand picture.
                 for tier in self.kernel.machine.tiers:
                     demand[tier.tier_id] += tier.consume_migration_bytes()
                 np.divide(
                     demand,
-                    macro_ns / 1e9,
+                    quantum / 1e9,
                     out=self._prev_demand_bytes_per_sec,
                 )
-                self.kernel.advance_to(start + macro_ns)
-                self.quanta_run += n_fused
+                self.kernel.advance_to(start + quantum)
+                self.quanta_run += 1
                 self.steps_run += 1
                 obs = self.kernel.obs
                 if obs is not None:
-                    obs.inc("engine.quanta", n_fused)
+                    obs.inc("engine.quanta")
                     gauges = self.kernel.machine.obs_gauges(
                         self._multipliers
                     )
@@ -267,28 +213,12 @@ class QuantumEngine:
                     obs.emit(
                         "engine.quantum",
                         clock.now,
-                        quantum_ns=macro_ns,
+                        quantum_ns=quantum,
                         fast_free_pages=gauges["machine.fast_free_pages"],
                         slow_free_pages=gauges["machine.slow_free_pages"],
                         fast_contention=gauges["machine.fast_contention"],
                         slow_contention=gauges["machine.slow_contention"],
                     )
-                if n_fused > 1:
-                    self.fused_quanta += n_fused
-                    if obs is not None:
-                        obs.inc("engine.fused_steps")
-                        obs.inc("engine.fused_quanta", n_fused)
-                        obs.observe("engine.fusion_horizon", n_fused)
-                        obs.set_gauge(
-                            "engine.fusion_ratio",
-                            self.fused_quanta / self.quanta_run,
-                        )
-                        obs.emit(
-                            "engine.fused",
-                            clock.now,
-                            n_quanta=n_fused,
-                            macro_ns=macro_ns,
-                        )
                 if observer is not None and clock.now >= next_observe:
                     if self._arena is not None:
                         # Observers read per-process stats; fold in the
@@ -296,7 +226,6 @@ class QuantumEngine:
                         self._arena.flush_stats()
                     observer(self, clock.now)
                     next_observe = clock.now + (observe_every_ns or 0)
-                    observe_bound = next_observe
                 if stop_when_finished and all(
                     p.finished for p in self.kernel.processes
                 ):
@@ -312,7 +241,7 @@ class QuantumEngine:
             if profiler is not None:
                 profiler.pop()
 
-    def _arena_step(self, start_ns: int, macro_ns: int) -> np.ndarray:
+    def _arena_step(self, start_ns: int, quantum_ns: int) -> np.ndarray:
         """One batched arena step (builds/rebuilds the arena lazily)."""
         arena = self._arena
         if arena is None or arena.processes != self.kernel.processes:
@@ -321,143 +250,7 @@ class QuantumEngine:
             if arena is not None:
                 arena.detach()
             arena = self._arena = ProcessArena(self)
-        return arena.step(start_ns, macro_ns)
-
-    # ------------------------------------------------------------------
-    #: maximum per-tier relative change of the contention-multiplier
-    #: vector between consecutive steps for the feedback loop to count
-    #: as converged (a fusion precondition; see ``run``)
-    FUSION_CONTENTION_TOL: float = 0.01
-
-    def _fusion_horizon(
-        self,
-        start_ns: int,
-        end_ns: int,
-        next_observe_ns: Optional[int],
-        max_fuse: Optional[int],
-    ) -> int:
-        """Number of quanta safely fusable into one macro-quantum (>= 1).
-
-        Every bound below shares one formula: per-quantum stepping fires
-        anything scheduled at time ``X`` at the first quantum boundary at
-        or after ``X``, so fusing ``ceil((X - start) / quantum)`` quanta
-        reaches exactly that boundary.  Applied to the kernel's next hard
-        event, the observer's next firing, each workload's stability
-        horizon, and (via a fastest-possible-access bound) each process's
-        remaining access target, then clamped by the run end and the
-        policy's ``max_fusion_quanta``.  Any process not provably in
-        steady state -- distribution array changed, pages migrated,
-        protection changed since its last quantum -- returns 1 (no
-        fusion).  Consumes no RNG, so a 1-quantum step stays bit-identical
-        to reference stepping.
-        """
-        q = self.quantum_ns
-        # Whole quanta left in the run; a trailing partial quantum runs
-        # unfused.
-        n = (end_ns - start_ns) // q
-        if n <= 1:
-            return 1
-        horizon = self.kernel.next_event_ns()
-        if horizon is not None:
-            if horizon <= start_ns:
-                return 1
-            n = min(n, -(-(horizon - start_ns) // q))
-        if next_observe_ns is not None:
-            if next_observe_ns <= start_ns:
-                return 1
-            n = min(n, -(-(next_observe_ns - start_ns) // q))
-        if max_fuse is not None:
-            n = min(n, int(max_fuse))
-        if n <= 1:
-            return 1
-        arena = self._arena
-        for process in self.kernel.processes:
-            if process.finished:
-                continue
-            witness = None if arena is None else arena.witness(process)
-            if witness is None:
-                # First quantum for this process: no steady-state witness.
-                return 1
-            w_probs, w_epoch, w_protect_epoch = witness
-            pages = process.pages
-            if (
-                w_epoch != pages.epoch
-                or w_protect_epoch != pages.protect_epoch
-            ):
-                return 1
-            # Pending kernel debt (e.g. a migration burst's cost) makes
-            # upcoming quanta heterogeneous: full-stall quanta execute
-            # zero accesses, then a mixed quantum drains the remainder.
-            # Policies whose per-quantum hooks are nonlinear in the
-            # access count (Memtis' budget cap ``min(n, rate*q*share)``
-            # is concave) would see a different input if a fused window
-            # spanned the stall->recovery transition.  Pure-stall
-            # windows are exact (zero accesses either way), so cap the
-            # horizon at the number of whole stalled quanta and let the
-            # mixed quantum run unfused.
-            debt = process.pending_kernel_ns
-            if debt > 0.0:
-                stall_quanta = int(debt // q)
-                if stall_quanta < 1:
-                    return 1
-                n = min(n, stall_quanta)
-                if n <= 1:
-                    return 1
-            workload = process.workload
-            # Duck-typed workloads predating the fusion contract get no
-            # stability guarantee: treat them like ``stable_until_ns``
-            # returning ``now`` (fusion disabled, stepping unchanged).
-            stable_fn = getattr(workload, "stable_until_ns", None)
-            stable = start_ns if stable_fn is None else stable_fn(start_ns)
-            if stable is not None:
-                if stable <= start_ns:
-                    return 1
-                n = min(n, -(-(stable - start_ns) // q))
-                if n <= 1:
-                    return 1
-            # ``advance`` is idempotent and consumes no RNG; the step
-            # repeats it.  The distribution for the upcoming quantum must
-            # be the exact array the last quantum ran against.
-            workload.advance(start_ns)
-            if workload.access_distribution() is not w_probs:
-                return 1
-            if process.target_accesses is not None:
-                # ``stats`` lags the arena's lazy accumulator: read the
-                # live count, or a stale one would lift the cap.
-                done = (
-                    process.stats.accesses
-                    if arena is None
-                    else arena.accesses(process)
-                )
-                remaining = process.target_accesses - done
-                if remaining > 0:
-                    # A quantum cannot complete more accesses than budget
-                    # divided by the cheapest possible per-access cost
-                    # (fastest tier, no contention), so the finishing
-                    # quantum index is at least ceil(remaining / cap) --
-                    # fusing up to it cannot overshoot the target.
-                    cap = q / (
-                        self._min_access_cost_ns(workload.write_fraction)
-                        + workload.delay_ns_per_access
-                    )
-                    n = min(n, max(1, math.ceil(remaining / cap)))
-                    if n <= 1:
-                        return 1
-        return int(n)
-
-    def _min_access_cost_ns(self, write_fraction: float) -> float:
-        """Cheapest possible mean access latency: best tier, uncontended.
-
-        Contention multipliers are >= 1 and tier masses are a convex
-        combination, so every realized per-access cost is at least this.
-        Used to upper-bound per-quantum progress toward an access target.
-        """
-        machine = self.kernel.machine
-        mix = (
-            (1.0 - write_fraction) * machine.read_latency_ns
-            + write_fraction * machine.write_latency_ns
-        )
-        return float(mix.min())
+        return arena.step(start_ns, quantum_ns)
 
     # ------------------------------------------------------------------
     def _tier_mass(

@@ -39,9 +39,6 @@ class RunConfig:
     #: real pages represented per simulated page; scales per-page kernel
     #: costs so overhead ratios match the full-size system
     page_scale: int = 1
-    #: quantum fusion (event-horizon macro-quanta); ``False`` forces the
-    #: per-quantum ``fusion_reference`` stepping mode (CLI ``--no-fusion``)
-    fusion: bool = True
 
     def __post_init__(self) -> None:
         if self.fast_pages <= 0 or self.slow_pages <= 0:
@@ -210,7 +207,6 @@ def run_experiment(
         kernel,
         quantum_ns=config.quantum_ns,
         fast_path=fast_path,
-        fusion=config.fusion,
     )
     end_ns = engine.run(
         config.duration_ns,

@@ -33,6 +33,10 @@ from repro.vm.process import SimProcess
 AGING_PAGE_COST_NS: int = 25
 
 
+class CapacityError(MemoryError):
+    """The fleet's working sets do not fit in the machine's free pages."""
+
+
 class Kernel:
     """Simulated kernel: machine + MM subsystems + process table."""
 
@@ -127,7 +131,7 @@ class Kernel:
         cursors = [0] * len(self.processes)
         remaining = sum(p.n_pages for p in self.processes)
         if remaining > fast.free_pages + slow.free_pages:
-            raise MemoryError(
+            raise CapacityError(
                 f"working sets ({remaining} pages) exceed machine capacity "
                 f"({fast.free_pages + slow.free_pages} free pages)"
             )
@@ -197,18 +201,10 @@ class Kernel:
         # hooks fire afterwards in the same visiting order, which is
         # exactly equivalent as long as a hook does not mutate *another*
         # process's aging inputs or the shared ``kernel.lru`` RNG stream
-        # (true of every registered policy).  A policy that needs the
-        # strict age-then-hook interleaving can opt out by setting
-        # ``batched_transients = False``.
-        batched = getattr(self.policy, "batched_transients", True)
-        if batched:
-            touched_list = self.lru.age_fleet(visit, now_ns)
+        # (true of every registered policy).
+        touched_list = self.lru.age_fleet(visit, now_ns)
         obs = self.obs
-        for pos, process in enumerate(visit):
-            if batched:
-                touched = touched_list[pos]
-            else:
-                touched = self.lru.age_process(process, now_ns)
+        for process, touched in zip(visit, touched_list):
             if obs is not None:
                 obs.inc("aging.passes")
                 obs.emit(
@@ -255,15 +251,6 @@ class Kernel:
         """
         self.clock.advance_to(when_ns)
         self.scheduler.run_due(when_ns)
-
-    def next_event_ns(self) -> Optional[int]:
-        """Earliest pending *hard* kernel event (quantum-fusion horizon).
-
-        Facade over :meth:`EventScheduler.next_event_ns`: the engine may
-        fuse quanta up to -- but not across -- this instant.  Soft events
-        (kswapd watermark polls) do not constrain the horizon.
-        """
-        return self.scheduler.next_event_ns()
 
     def deliver_faults(self, process: SimProcess, fault_batch: Any) -> None:
         """Account one process's fault batch and hand it to the policy:

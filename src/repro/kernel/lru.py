@@ -14,11 +14,6 @@ kernel's periodic reference-bit harvesting:
 References are determined from the batched access model: with ``lam``
 expected accesses to a page over the window, the page was touched with
 probability ``1 - exp(-lam)``; hint faults always count as touches.
-
-Aging passes run from hard scheduler events, which bound the quantum-fusion
-horizon: a fused macro-quantum never spans an aging tick, and the ``lam``
-folded over a fused window equals the per-quantum sum (Poisson merging), so
-touch probabilities are identical either way.
 """
 
 from __future__ import annotations

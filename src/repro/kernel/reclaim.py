@@ -124,25 +124,16 @@ class ReclaimDaemon:
         if self._running:
             return
         self._running = True
-        # kswapd wakeups are *soft* events: each tick is an idempotent
-        # watermark poll (a no-op whenever free >= high), and allocation
-        # pressure inside a window is already served synchronously by
-        # direct reclaim (``demote_cold_pages(..., direct_for=...)``).
-        # Marking them soft keeps the periodic poll from capping the
-        # engine's quantum-fusion horizon at 100 ms; deferred ticks still
-        # fire at the fused boundary with their scheduled times, so the
-        # cadence stays drift-free.
         self.kernel.scheduler.schedule(
             self.kernel.clock.now + self.period_ns,
             self._tick,
             name="kswapd",
-            soft=True,
         )
 
     def _tick(self, now_ns: int) -> None:
         self.run_once(now_ns)
         self.kernel.scheduler.schedule(
-            now_ns + self.period_ns, self._tick, name="kswapd", soft=True
+            now_ns + self.period_ns, self._tick, name="kswapd"
         )
 
     def run_once(self, now_ns: int) -> int:

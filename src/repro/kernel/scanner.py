@@ -9,11 +9,6 @@ each marked page so the fault handler can compute CIT.
 Scan events for a process are spaced so that one full pass over its address
 space takes one *scan period* (default 60 s, as in the kernel), i.e. the
 inter-event gap is ``scan_period * scan_step / n_pages``.
-
-Scan events are *hard* scheduler events: they bound the quantum-fusion
-horizon (``EventScheduler.next_event_ns``), so under fusion each scan step
-fires at exactly the quantum boundary per-quantum stepping would have used
--- the PROT_NONE marking sequence is unchanged.
 """
 
 from __future__ import annotations
@@ -95,16 +90,15 @@ class TickingScanner:
         # always the case for single-process runs -- this is exactly the
         # sequential path.
         entries = [(process, now_ns)]
-        if getattr(self.kernel.policy, "batched_transients", True):
-            siblings = self.kernel.scheduler.take_due(
-                self.kernel.clock.now, "ticking-scan:"
-            )
-            if siblings:
-                by_pid = {p.pid: p for p in self.kernel.processes}
-                for event in siblings:
-                    proc = by_pid.get(int(event.name.rsplit(":", 1)[1]))
-                    if proc is not None:
-                        entries.append((proc, event.when_ns))
+        siblings = self.kernel.scheduler.take_due(
+            self.kernel.clock.now, "ticking-scan:"
+        )
+        if siblings:
+            by_pid = {p.pid: p for p in self.kernel.processes}
+            for event in siblings:
+                proc = by_pid.get(int(event.name.rsplit(":", 1)[1]))
+                if proc is not None:
+                    entries.append((proc, event.when_ns))
         if len(entries) == 1:
             if process.finished:
                 return
@@ -128,7 +122,7 @@ class TickingScanner:
         advance / tier filter / PROT_NONE marking is the per-process
         code either way, and the ``on_scan`` hooks fire afterwards in
         the same order -- exact whenever a hook only touches its own
-        process (the ``batched_transients`` contract).  The pass runs
+        process (true of every registered policy).  The pass runs
         under one ``scan_pass`` profiler section with one global-stats
         and obs-counter update instead of per-event dispatch.
         """

@@ -353,12 +353,11 @@ EVENT_SCHEMA: Dict[str, EventSpec] = {
             name="engine.quantum",
             module="repro.harness.engine",
             description=(
-                "The quantum engine finished one step for the whole "
-                "fleet (emitted after kernel timers fired); a fused "
-                "step reports the whole macro-quantum in one event."
+                "The quantum engine finished one quantum for the whole "
+                "fleet (emitted after kernel timers fired)."
             ),
             fields=_fields(
-                quantum_ns=("ns", "step length (macro-quantum if fused)"),
+                quantum_ns=("ns", "quantum length"),
                 fast_free_pages=("pages", "fast-tier free pages"),
                 slow_free_pages=("pages", "slow-tier free pages"),
                 fast_contention=("ratio", "fast-tier latency multiplier"),
@@ -396,18 +395,6 @@ EVENT_SCHEMA: Dict[str, EventSpec] = {
                 n_patterns=("count", "distinct shared pattern tables"),
                 n_churn=("count", "tenants that churn (exit or spawn)"),
                 n_shifting=("count", "tenants with scripted phase shifts"),
-            ),
-        ),
-        EventSpec(
-            name="engine.fused",
-            module="repro.harness.engine",
-            description=(
-                "The engine fused multiple steady-state quanta into one "
-                "macro-quantum (event-horizon quantum fusion)."
-            ),
-            fields=_fields(
-                n_quanta=("count", "quanta merged into this step"),
-                macro_ns=("ns", "fused window length"),
             ),
         ),
     )

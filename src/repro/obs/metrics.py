@@ -35,11 +35,6 @@ _WALL_EDGES_SEC: Tuple[float, ...] = tuple(
     float(2.0**k) for k in range(-6, 11)
 )
 
-#: power-of-two bucket edges for fused-window lengths: 2 .. 4096 quanta
-_FUSION_EDGES_QUANTA: Tuple[float, ...] = tuple(
-    float(2**k) for k in range(1, 13)
-)
-
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -229,23 +224,7 @@ METRIC_CATALOGUE: Dict[str, MetricSpec] = {
               "misses."),
         # -- machine / engine ------------------------------------------
         _spec("engine.quanta", "counter", "count", "repro.harness.engine",
-              "simulated quanta covered (fused steps count all their "
-              "quanta)."),
-        _spec("engine.fused_steps", "counter", "count",
-              "repro.harness.engine",
-              "engine steps that fused multiple quanta into one "
-              "macro-quantum."),
-        _spec("engine.fused_quanta", "counter", "count",
-              "repro.harness.engine",
-              "quanta covered by fused steps."),
-        _spec("engine.fusion_ratio", "gauge", "ratio",
-              "repro.harness.engine",
-              "fraction of simulated quanta covered by fused steps so "
-              "far."),
-        _spec("engine.fusion_horizon", "histogram", "quanta",
-              "repro.harness.engine",
-              "fused-window length per fused step, in quanta.",
-              edges=_FUSION_EDGES_QUANTA),
+              "simulated quanta run."),
         # Retired with arena distribution interning: still registered
         # so snapshots keep their keys, but nothing writes them.
         _spec("arena.interned_classes", "gauge", "count",

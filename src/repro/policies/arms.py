@@ -34,12 +34,6 @@ class ARMSPolicy(TieringPolicy):
 
     name = "arms"
 
-    # Fusion contract: no ``on_quantum``; promotion is fault-driven and
-    # the tuning pass is a scheduler event, so the fusion horizon is
-    # bounded by the tune period automatically.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         scan_period_ns: int = 60 * SECOND,

@@ -29,11 +29,6 @@ class AutoTieringPolicy(TieringPolicy):
 
     name = "autotiering"
 
-    # Fusion contract: no ``on_quantum``; LAP histories update on
-    # faults and scheduler-event ticks, which bound the horizon.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         scan_period_ns: int = 60 * SECOND,

@@ -74,22 +74,6 @@ class PromotionRateLimiter:
 class TieringPolicy(ABC):
     """Base class wiring a policy into the kernel.
 
-    Quantum-fusion contract: the engine may merge consecutive
-    steady-state quanta into one macro-quantum, delivering a single
-    ``on_quantum(process, probs, n·K, start_ns, n·quantum_ns)`` call in
-    place of ``n`` identical per-quantum calls.  That is exact whenever
-    ``on_quantum`` is linear in ``(n_accesses, quantum_ns)`` jointly --
-    the in-tree sampling policies qualify (PEBS window budgets scale
-    linearly, pending-run ledgers accumulate additively).  Periodic
-    policy mechanisms (Memtis cooling/classification, Chrono CIT
-    adaptation, Telescope windows) are scheduler events, so they bound
-    the fusion horizon to their own periods automatically.
-
-    A policy whose ``on_quantum`` is *not* fusion-linear sets
-    ``needs_per_quantum = True`` (fusion disabled while it is attached);
-    one that tolerates fusion only up to some window sets
-    ``max_fusion_quanta`` instead of disabling it.
-
     Batched-transients contract: the kernel runs its transient windows
     (Ticking-scan passes, LRU aging, reclaim victim selection, migration
     batches) as *fleet-wide* array programs -- one pass over all
@@ -100,26 +84,11 @@ class TieringPolicy(ABC):
     (window counters, accessed bits, LRU state, protection state) or
     consume from a shared kernel RNG stream -- true of every registered
     policy, whose hooks only touch the hooked process's pages and
-    per-process RNG.  A policy that needs the strict
-    pass-then-hook-per-process interleaving sets
-    ``batched_transients = False`` and the kernel falls back to the
-    sequential loops.
+    per-process RNG.  ``tests/test_batched_oracle.py`` checks every
+    policy against the sequential per-process loops.
     """
 
     name: str = "abstract"
-
-    #: True when ``on_quantum`` must observe every quantum individually;
-    #: the engine then never fuses.
-    needs_per_quantum: bool = False
-
-    #: Optional cap on quanta merged into one macro-quantum
-    #: (``None`` = bounded only by the event horizon).
-    max_fusion_quanta: Optional[int] = None
-
-    #: False opts out of fleet-wide batched transient passes (scan,
-    #: aging); the kernel then runs the per-process sequential loops so
-    #: hooks interleave with the passes exactly.
-    batched_transients: bool = True
 
     def __init__(self) -> None:
         """Create the policy unattached (see :meth:`attach`)."""

@@ -30,12 +30,6 @@ class FlexMemPolicy(MemtisPolicy):
 
     name = "flexmem"
 
-    # Fusion contract: inherits Memtis' linear ``on_quantum``; the
-    # added fault fast path rides the (fusion-exact) hint-fault
-    # batches, and its scanner ticks are hard scheduler events.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         scan_period_ns: int = 60 * SECOND,

@@ -39,12 +39,6 @@ class JengaPolicy(TieringPolicy):
 
     name = "jenga"
 
-    # Fusion contract: no ``on_quantum``; promotion is fault-driven and
-    # the heat-decay/demotion pass is a scheduler event that bounds the
-    # fusion horizon to its own period.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         scan_period_ns: int = 60 * SECOND,

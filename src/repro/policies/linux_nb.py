@@ -29,12 +29,6 @@ class LinuxNUMABalancing(TieringPolicy):
 
     name = "linux-nb"
 
-    # Fusion contract: no ``on_quantum``; promotion rides the
-    # hint-fault path (exact under fused Poisson-merged sampling)
-    # and scan ticks are hard scheduler events.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         scan_period_ns: int = 60 * SECOND,

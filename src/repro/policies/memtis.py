@@ -58,14 +58,6 @@ class MemtisPolicy(TieringPolicy):
 
     name = "memtis"
 
-    # Fusion contract: ``on_quantum`` only accumulates a window budget,
-    # and ``min(k*n, rate * k*q * share) = k * min(n, rate * q * share)``
-    # makes one fused call exact.  Cooling and classification run from
-    # the ``memtis-classify`` scheduler event, which bounds the fusion
-    # horizon to the classification period on its own.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         page_granularity: str = "huge",

@@ -25,12 +25,6 @@ class MultiClockPolicy(TieringPolicy):
 
     name = "multiclock"
 
-    # Fusion contract: no ``on_quantum``; clock hands advance from
-    # the LRU aging event, which bounds the horizon to the aging
-    # period.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         n_levels: int = 4,

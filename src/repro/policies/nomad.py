@@ -45,13 +45,6 @@ class NomadPolicy(TieringPolicy):
 
     name = "nomad"
 
-    # Fusion contract: no ``on_quantum``; transactional promotion rides
-    # the hint-fault path (abort draws consume a dedicated RNG stream
-    # per fault batch), and the reconcile pass is a scheduler event that
-    # bounds the fusion horizon to its own period.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         scan_period_ns: int = 60 * SECOND,

@@ -45,13 +45,6 @@ class TelescopePolicy(TieringPolicy):
 
     name = "telescope"
 
-    # Fusion contract: ``on_quantum`` appends one ``(probs, n)`` pending
-    # run (additive, so a fused ``n·K`` call is exact); profiling windows
-    # fire from the ``telescope-window`` scheduler event, which bounds
-    # the fusion horizon to ``window_ns`` automatically.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         window_ns: int = 200 * MILLISECOND,

@@ -41,12 +41,6 @@ class TierBPFPolicy(TieringPolicy):
 
     name = "tierbpf"
 
-    # Fusion contract: no ``on_quantum``; the admission test is a pure
-    # function of each fault batch, and scan ticks are hard scheduler
-    # events.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         scan_period_ns: int = 60 * SECOND,

@@ -27,12 +27,6 @@ class TPPPolicy(TieringPolicy):
 
     name = "tpp"
 
-    # Fusion contract: no ``on_quantum``; fault-latency promotion
-    # rides the hint-fault path and scan/reclaim periodics are
-    # scheduler events.
-    needs_per_quantum = False
-    max_fusion_quanta = None
-
     def __init__(
         self,
         scan_period_ns: int = 60 * SECOND,

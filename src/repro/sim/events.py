@@ -19,21 +19,13 @@ EventCallback = Callable[[int], None]
 
 @dataclass(order=True)
 class ScheduledEvent:
-    """An event in the timer queue, ordered by (time, insertion order).
-
-    ``soft`` marks a wakeup that is *idempotent under deferral*: firing it
-    at any point at or after its scheduled time (still with the scheduled
-    time as its argument) is acceptable.  Soft events do not constrain the
-    engine's quantum-fusion horizon (:meth:`EventScheduler.next_event_ns`);
-    they still fire, in order, whenever the clock passes them.
-    """
+    """An event in the timer queue, ordered by (time, insertion order)."""
 
     when_ns: int
     seq: int
     callback: EventCallback = field(compare=False)
     name: str = field(compare=False, default="")
     cancelled: bool = field(compare=False, default=False)
-    soft: bool = field(compare=False, default=False)
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when it becomes due."""
@@ -55,17 +47,8 @@ class EventScheduler:
         when_ns: int,
         callback: EventCallback,
         name: str = "",
-        soft: bool = False,
     ) -> ScheduledEvent:
-        """Schedule ``callback(now)`` to fire at absolute time ``when_ns``.
-
-        ``soft=True`` declares the callback deferral-tolerant: it must
-        still fire once the clock reaches ``when_ns``, but the engine may
-        advance past it in one fused step and fire it (with the scheduled
-        time) at the end.  Use it only for idempotent periodic checks
-        (e.g. kswapd watermark polls) whose effect does not depend on the
-        exact observation instant.
-        """
+        """Schedule ``callback(now)`` to fire at absolute time ``when_ns``."""
         if when_ns < 0:
             raise ValueError("cannot schedule an event before time zero")
         event = ScheduledEvent(
@@ -73,7 +56,6 @@ class EventScheduler:
             seq=next(self._counter),
             callback=callback,
             name=name,
-            soft=soft,
         )
         heapq.heappush(self._heap, event)
         return event
@@ -85,29 +67,6 @@ class EventScheduler:
         if not self._heap:
             return None
         return self._heap[0].when_ns
-
-    def next_event_ns(self) -> Optional[int]:
-        """Time of the earliest pending *hard* (non-soft) event.
-
-        This is the quantum-fusion horizon: the engine may not step past
-        this instant in one fused macro-quantum, because a hard event
-        (scan tick, aging pass, policy adaptation) observes or mutates
-        state and must see the timeline at its scheduled boundary.  Soft
-        events are ignored here; they fire during the catch-up
-        :meth:`run_due` at the fused boundary, each still receiving its
-        scheduled time, so periodic soft daemons stay drift-free.
-
-        Returns ``None`` when no hard event is pending.
-        """
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        horizon: Optional[int] = None
-        for event in self._heap:
-            if event.cancelled or event.soft:
-                continue
-            if horizon is None or event.when_ns < horizon:
-                horizon = event.when_ns
-        return horizon
 
     def run_due(self, now_ns: int) -> int:
         """Fire every event with ``when_ns <= now_ns``; return count fired.
@@ -142,8 +101,8 @@ class EventScheduler:
         boundary share the same effective time (the advanced clock), so
         reordering them relative to other due events is observable only
         through cross-subsystem state -- acceptable exactly when the
-        subsystems' per-boundary work commutes (see the
-        ``batched_transients`` policy contract).
+        subsystems' per-boundary work commutes (true of every registered
+        policy: a hook only touches its own process).
         """
         taken: List[ScheduledEvent] = []
         kept: List[ScheduledEvent] = []

@@ -20,7 +20,7 @@ both the vm layer and the harness can import it without cycles.
 
 ``dcsc_fold``
     The DCSC histogram reduction: scatter-add round-2 CIT samples into
-    the per-tier heat maps, fused over ``(tier, bucket)`` keys instead
+    the per-tier heat maps, one bincount over ``(tier, bucket)`` keys instead
     of one ``np.add.at`` per tier.
 """
 
@@ -62,7 +62,7 @@ def dcsc_fold(
     tiers: np.ndarray, buckets: np.ndarray, n_tiers: int, n_buckets: int
 ) -> np.ndarray:
     """Count ``(tier, bucket)`` CIT samples into a dense float64
-    ``(n_tiers, n_buckets)`` table with one fused bincount over
+    ``(n_tiers, n_buckets)`` table with one bincount over
     ``tier * n_buckets + bucket`` keys."""
     keys = tiers.astype(np.int64) * n_buckets + buckets
     counts = np.bincount(keys, minlength=n_tiers * n_buckets)

@@ -126,12 +126,6 @@ class PageState:
         #: protect/unprotect paths so the engine's hot loop can skip the
         #: hint-fault machinery without an O(pages) scan
         self.n_protected: int = 0
-        #: protection generation (the fusion dirty-flag): bumped whenever
-        #: the protected set actually changes (protect/unprotect paths),
-        #: so the engine can detect "protection state unchanged since the
-        #: last quantum" with one integer compare.  Together with
-        #: ``epoch`` it witnesses the steady state quantum fusion needs.
-        self.protect_epoch: int = 0
         #: sorted vpns of currently protected pages.  Maintained
         #: copy-on-write (never mutated in place) so a snapshot returned
         #: by :meth:`protected_pages` stays valid across later updates.
@@ -344,8 +338,6 @@ class PageState:
         self.prot_none[fresh] = True
         self.scan_ts_ns[fresh] = now_ns
         self.n_protected += int(fresh.size)
-        if fresh.size:
-            self.protect_epoch += 1
         self._cache_protect(fresh)
         return int(fresh.size)
 
@@ -376,10 +368,6 @@ class PageState:
         self.n_protected += int(np.count_nonzero(fresh_mask))
         self.prot_none[unique] = True
         self.scan_ts_ns[unique] = unique_ts
-        if unique.size:
-            # timestamps changed even when the set did not -- still a
-            # protection-state mutation for the fusion dirty-flag
-            self.protect_epoch += 1
         self._cache_protect(unique[fresh_mask])
 
     def unprotect(self, vpns: np.ndarray) -> None:
@@ -388,8 +376,6 @@ class PageState:
         unique = _sorted_unique(vpns).astype(np.int64, copy=False)
         gone = unique[self.prot_none[unique]]
         self.n_protected -= int(gone.size)
-        if gone.size:
-            self.protect_epoch += 1
         self.prot_none[unique] = False
         self._cache_unprotect(gone)
 
@@ -407,8 +393,6 @@ class PageState:
         """
         self.prot_none[vpns] = False
         self.n_protected -= int(vpns.size)
-        if vpns.size:
-            self.protect_epoch += 1
         self._protected_vpns = remainder
 
     def protected_pages(self) -> np.ndarray:

@@ -231,24 +231,6 @@ class Workload(ABC):
     def advance(self, now_ns: int) -> None:
         """Hook for phase changes; stationary workloads do nothing."""
 
-    def stable_until_ns(self, now_ns: int) -> Optional[int]:
-        """Earliest future instant at which the access profile may change.
-
-        The engine's quantum-fusion horizon must not cross this time: up
-        to (but excluding) the returned instant, ``advance`` is guaranteed
-        not to change the distribution returned by
-        ``access_distribution``.  ``None`` means the profile is stationary
-        (never changes).
-
-        The default is conservative: a workload that overrides ``advance``
-        without also overriding this method reports ``now_ns`` (no
-        stability guarantee, fusion disabled); a workload that keeps the
-        base no-op ``advance`` is stationary.
-        """
-        if type(self).advance is Workload.advance:
-            return None
-        return now_ns
-
     def hot_page_mask(self, hot_fraction: float = 0.25) -> np.ndarray:
         """Oracle hot mask: the top ``hot_fraction`` of pages by access
         probability."""
@@ -284,8 +266,8 @@ class TraceWorkload(Workload):
     mass.  ``assume_normalized=True`` stores positive-mass vectors by
     reference instead of copy-normalizing them -- the trace compiler
     uses this to hand every instance the *same* frozen
-    :func:`cached_tables` array, which the engine's identity-based
-    fusion witness sees as one table.
+    :func:`cached_tables` array, which the arena's identity-based
+    distribution check sees as one table.
     """
 
     name = "trace"
@@ -334,18 +316,6 @@ class TraceWorkload(Workload):
 
     def advance(self, now_ns: int) -> None:
         self._phase = self._phase_at(now_ns)
-
-    def stable_until_ns(self, now_ns: int) -> Optional[int]:
-        """Next phase boundary in the cycle (``None`` for a single phase)."""
-        if len(self._probs) == 1:
-            return None
-        offset = now_ns % self._cycle_ns
-        elapsed = 0
-        for duration in self._durations:
-            elapsed += duration
-            if offset < elapsed:
-                return now_ns - offset + elapsed
-        return now_ns + self._cycle_ns - offset  # pragma: no cover
 
     def access_distribution(self, now_ns: Optional[int] = None) -> np.ndarray:
         if now_ns is not None:

@@ -1,7 +1,7 @@
-"""Trace compiler: raw address events -> fused-fast-path workloads.
+"""Trace compiler: raw address events -> arena-fast-path workloads.
 
 Replaying a recorded trace one address at a time would forfeit every
-batching win from the arena and quantum fusion.  This module
+batching win from the arena.  This module
 *compiles* traces instead: raw ``(timestamp_ns, pid, vpn, is_write)``
 event streams (or the recorder's ``.npz`` window format) are binned into
 per-window page histograms with vectorized, chunked accumulation, then a
@@ -13,9 +13,9 @@ distribution tables that plug straight into the engine:
 * phase tables are routed through :func:`~repro.workloads.base.cached_tables`
   keyed by a content digest, so same-pattern traces (and same-pattern
   fleet tenants) share one frozen array;
-* long phases give :class:`~repro.workloads.base.TraceWorkload` honest
-  ``stable_until_ns`` horizons, so quantum fusion engages *within*
-  phases instead of being defeated by per-window churn;
+* long phases give :class:`~repro.workloads.base.TraceWorkload` few
+  distribution swaps, so the arena reprices a segment at a phase change
+  instead of at every recorded window;
 * idle stretches compile to zero-traffic phases, preserving the
   recording's wall-clock shape.
 
@@ -73,8 +73,7 @@ EventChunk = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 class StationaryTableWorkload(Workload):
     """Stationary workload over a pre-built, frozen probability table.
 
-    Keeps the base no-op ``advance`` -- an infinite fusion horizon --
-    and ``access_distribution`` returns the table array *itself*, so
+    Keeps the base no-op ``advance`` and ``access_distribution`` returns the table array *itself*, so
     every process built from the same cached table presents one array
     identity.  The compiler emits this for single-phase traces; the fleet
     traffic generator uses it for all non-shifting tenants.
@@ -205,10 +204,10 @@ class CompiledTrace:
     ) -> Workload:
         """Build the replay workload for this compiled trace.
 
-        A single-phase trace becomes a :class:`StationaryTableWorkload`
-        (infinite fusion horizon); multi-phase traces
-        become a :class:`~repro.workloads.base.TraceWorkload` whose
-        ``stable_until_ns`` reports the compiled phase boundaries.
+        A single-phase trace becomes a :class:`StationaryTableWorkload`;
+        multi-phase traces become a
+        :class:`~repro.workloads.base.TraceWorkload` cycling the compiled
+        phases.
         """
         wf = self.write_fraction if write_fraction is None else write_fraction
         if len(self.phases) == 1:

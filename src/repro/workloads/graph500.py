@@ -149,12 +149,6 @@ class Graph500Workload(Workload):
             self._phase = int(phase)
             self._probs = self._phase_distribution(self._phase)
 
-    def stable_until_ns(self, now_ns: int) -> Optional[int]:
-        """Next BFS-level boundary (``None`` for a single-level graph)."""
-        if self.n_levels == 1:
-            return None
-        return (now_ns // self.phase_len_ns + 1) * self.phase_len_ns
-
     def access_distribution(self, now_ns: Optional[int] = None) -> np.ndarray:
         if now_ns is not None:
             self.advance(now_ns)

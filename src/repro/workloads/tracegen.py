@@ -5,7 +5,7 @@ memory pressure comes from *skewed* fleets -- a few huge tenants, a long
 tail of small ones, load that breathes with the time of day, tenants
 arriving and leaving mid-run.  This module maps ``n_users`` simulated
 users onto ``n_tenants`` processes with exactly that structure, while
-keeping every tenant on the batched arena/fusion fast path:
+keeping every tenant on the batched arena fast path:
 
 * **Zipf tenant popularity** -- tenant ``i`` serves a user share
   proportional to ``(i+1) ** -zipf_s``, so a 1024-tenant fleet carries a
@@ -26,8 +26,7 @@ keeping every tenant on the batched arena/fusion fast path:
   pattern (mid-run registration is not supported; an idle lead-in
   models the arrival without breaking upfront placement).
 * **Scripted phase shifts** -- a slice of tenants cycles two pattern
-  tables on long, honest ``stable_until_ns`` horizons, so quantum
-  fusion still engages *within* phases.
+  tables in long phases.
 """
 
 from __future__ import annotations
@@ -172,8 +171,7 @@ def make_traffic_processes(
         delay_ns = float(delay_units[i]) * DELAY_UNIT_NS
         tenant_rng = streams.spawn(f"traffic-{i}")
         if i in shifters:
-            # Scripted phase shift between two pattern tables, long
-            # honest horizons so fusion engages within each phase.
+            # Scripted phase shift between two pattern tables.
             other = pattern_table(
                 pages_per_tenant, pattern + 1, n_patterns
             )

@@ -11,9 +11,10 @@ claim against an oracle: twin fixtures with identical seeds run the
 batched and the sequential code, and every observable must match bit
 for bit.
 
-The end-to-end oracle runs each registered policy with
-``batched_transients`` flipped off (the sequential opt-out) and demands
-the trajectory match the batched default exactly.  The hint-fault
+The end-to-end oracle runs each registered policy with the fleet entry
+points (``LruLists.age_fleet`` and the scanner's sibling ``take_due``)
+patched to their sequential per-process equivalents and demands the
+trajectory match the batched default exactly.  The hint-fault
 window has its own twin oracle: the fleet resolve/account/deliver pass
 against a per-process ``take_hint_faults`` + ``deliver_faults`` loop.  The hypothesis
 suite checks the segment-offset repair invariant: concatenating
@@ -40,6 +41,7 @@ from repro.kernel.scanner import ScanConfig
 from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.obs.hub import ObsHub
 from repro.policies.base import TieringPolicy
+from repro.sim.events import EventScheduler
 from repro.sim.kernels import dcsc_fold, scan_filter
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import SECOND
@@ -211,10 +213,10 @@ class TestReclaimSelectionOracle:
     def test_two_phase_matches_sequential_phases(self, n_pages):
         _, procs = twin_fleet()
         self._paint(procs)
-        lru_fused = LruLists(RngStreams(3).get("lru"))
+        lru_batched = LruLists(RngStreams(3).get("lru"))
         lru_seq = LruLists(RngStreams(3).get("lru"))
 
-        first, second = lru_fused.coldest_pages_two_phase(
+        first, second = lru_batched.coldest_pages_two_phase(
             procs, FAST_TIER, n_pages
         )
         ref_first = lru_seq.coldest_pages(
@@ -233,7 +235,7 @@ class TestReclaimSelectionOracle:
                 assert proc_g is proc_w
                 np.testing.assert_array_equal(vpns_g, vpns_w)
         # Identical RNG consumption (shuffles per phase).
-        assert lru_fused._rng.random() == lru_seq._rng.random()
+        assert lru_batched._rng.random() == lru_seq._rng.random()
 
     def test_no_shortfall_skips_second_phase(self):
         _, procs = twin_fleet()
@@ -365,25 +367,55 @@ class TestArrayKernelOracle:
         )
 
 
+def sequential_age_fleet(lru, processes, now_ns):
+    """``LruLists.age_fleet`` as the per-process loop.  A generator: the
+    kernel pulls each mask just before that process's ``on_lru_age``
+    hook, so every process ages after the previous hook ran."""
+    return (lru.age_process(process, now_ns) for process in processes)
+
+
+def no_due_siblings(scheduler, now_ns, prefix):
+    """``EventScheduler.take_due`` draining nothing: every scan event
+    fires on its own from ``run_due``, the sequential scan loop."""
+    return []
+
+
 class TestPolicyTransientOracle:
-    """The ``batched_transients`` contract, policy by policy: flipping a
-    policy to the sequential transient loops must reproduce the batched
-    trajectory exactly, because every fleet pass is bit-identical per
-    process and every registered hook only touches its own process."""
+    """The batched-transients contract, policy by policy: the sequential
+    transient loops must reproduce the batched trajectory exactly,
+    because every fleet pass is bit-identical per process and every
+    registered hook only touches its own process."""
 
     @pytest.mark.parametrize("policy_name", ALL_POLICIES)
-    def test_sequential_transients_match_batched(self, policy_name):
+    def test_sequential_transients_match_batched(
+        self, monkeypatch, policy_name
+    ):
         results = []
-        for batched in (True, False):
-            setup = StandardSetup(duration_ns=SECOND)
+        for sequential in (False, True):
+            # Pressured (FMAR 0.4-0.85), and a 64-page scan step puts
+            # sibling scan events in one quantum, so scanning policies
+            # take the scan_fleet path.
+            setup = StandardSetup(
+                duration_ns=3 * SECOND,
+                fast_pages=768,
+                scan_period_ns=SECOND,
+                scan_step_pages=64,
+            )
             policy = setup.build_policy(policy_name)
-            policy.batched_transients = batched
             processes = build_fleet(
                 setup, "pmbench", n_procs=3, pages_per_proc=512
             )
-            results.append(
-                run_experiment(processes, policy, setup.run_config())
-            )
+            with monkeypatch.context() as patch:
+                if sequential:
+                    patch.setattr(
+                        LruLists, "age_fleet", sequential_age_fleet
+                    )
+                    patch.setattr(
+                        EventScheduler, "take_due", no_due_siblings
+                    )
+                results.append(
+                    run_experiment(processes, policy, setup.run_config())
+                )
         batched_run, sequential_run = results
         assert (
             batched_run.throughput_per_sec

@@ -56,16 +56,43 @@ class TestInputValidation:
             ["tournament", "--duration", "-3"],
             ["replay", "trace.npz", "--seed", "-2"],
             ["replay", "trace.npz", "--duration", "-1"],
+            ["run", "--pages", "0"],
+            ["traffic", "--tenants", "0"],
+            ["traffic", "--patterns", "0"],
+            ["traffic", "--users", "0"],
+            ["traffic", "--churn-fraction", "2"],
+            ["traffic", "--shift-fraction", "-0.5"],
+            ["run", "--no-fusion"],
+            ["tournament", "--no-fusion"],
+            ["replay", "trace.npz", "--no-fusion"],
         ],
     )
     def test_one_line_error_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["traffic"],
+            ["run", "--procs", "64"],
+        ],
+    )
+    def test_over_capacity_fleet_is_one_line_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = self._assert_one_line_error(capsys)
+        assert err.startswith("error: working sets (")
+        assert "exceed machine capacity (36864 free pages)" in err
+
+    @staticmethod
+    def _assert_one_line_error(capsys):
         err = capsys.readouterr().err
         error_lines = [line for line in err.splitlines() if "error:" in line]
         assert len(error_lines) == 1
         assert "Traceback" not in err
+        return err
 
     def test_replay_accepts_zero_duration(self):
         args = build_parser().parse_args(
@@ -295,7 +322,7 @@ class TestReplay:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "fusion ratio" in out
+        assert "FMAR" in out
         assert "compiled traces" in out
 
     def test_replay_json(self, capsys):
@@ -307,14 +334,14 @@ class TestReplay:
         payload = json.loads(capsys.readouterr().out)
         assert payload["policy"] == "chrono"
         assert payload["throughput_per_sec"] > 0
-        assert 0.0 <= payload["fusion_ratio"] <= 1.0
+        assert 0.0 <= payload["fmar"] <= 1.0
         # One window-format trace plus two event-stream pids.
         assert len(payload["traces"]) == 3
         assert any(t["n_idle_windows"] >= 1 for t in payload["traces"])
 
     def test_replay_duration_override(self, capsys):
         code = main(
-            ["replay", FIXTURE_CSV, "--duration", "2", "--no-fusion"]
+            ["replay", FIXTURE_CSV, "--duration", "2"]
             + REPLAY_MACHINE
         )
         assert code == 0

@@ -3,7 +3,7 @@
 The arena (``repro.harness.arena``) is the engine's fast path: it
 executes each quantum as one batched array program over the
 concatenated fleet.  Its equivalence contract (``docs/SIMULATION.md``
-section 7) is statistical: it prices per-segment tier masses, draws
+section 6) is statistical: it prices per-segment tier masses, draws
 hint faults through an active/dormant split (from one aggregate
 ``engine.arena`` stream when several segments are eligible) and defers
 accounting, so it matches the ``fast_path=False`` oracle in law, not
@@ -21,6 +21,7 @@ from repro.policies.base import TieringPolicy
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import MILLISECOND, SECOND
 from repro.vm.process import SimProcess
+from repro.workloads.base import TraceWorkload
 from tests.conftest import make_kernel, make_process
 
 #: every registered policy (the Table 1 roster): the arena must match
@@ -46,7 +47,6 @@ def run_policy(
     fast_path,
     n_procs=2,
     pages_per_proc=1024,
-    fusion=False,
     obs=None,
     seed=0,
 ):
@@ -58,7 +58,7 @@ def run_policy(
     return run_experiment(
         processes,
         policy,
-        setup.run_config(fusion=fusion),
+        setup.run_config(),
         fast_path=fast_path,
         obs=obs,
     )
@@ -88,24 +88,6 @@ class TestMultiProcessEquivalence:
         )
         reference = run_policy("memtis", fast_path=False, n_procs=2)
         assert reference.engine._fault_caches == {}
-
-
-class TestFusionComposition:
-    def test_arena_fuses_and_stays_equivalent(self):
-        """Fusion composes with the arena: the witness lives in the
-        arena's per-segment epoch vectors, macro-quanta still engage,
-        and the fused arena matches the per-quantum arena within the
-        fusion tolerance."""
-        hub = ObsHub.create(metrics=True)
-        fused = run_policy("memtis", fast_path=True, fusion=True, obs=hub)
-        stepped = run_policy("memtis", fast_path=True, fusion=False)
-        assert hub.snapshot()["counters"]["engine.fused_quanta"] > 0
-        assert fused.throughput_per_sec == pytest.approx(
-            stepped.throughput_per_sec, rel=0.02
-        )
-        assert fused.fmar == pytest.approx(
-            stepped.fmar, rel=0.02, abs=1e-4
-        )
 
 
 class ZeroPageWorkload:
@@ -195,41 +177,100 @@ class TestSegmentRetirement:
         assert results[0] == pytest.approx(results[1], rel=1e-12)
 
 
-class TestFusedFixedWork:
+class TestFixedWork:
+    QUANTUM_NS = 50 * MILLISECOND
+
+    def _run(self, n_procs, fast_path):
+        """A memtis fleet with a per-process access target that takes
+        many quanta, recording every process's access count after each
+        quantum."""
+        setup = StandardSetup(duration_ns=4 * SECOND, seed=0)
+        processes = build_fleet(
+            setup, "pmbench", n_procs=n_procs, pages_per_proc=4096 // n_procs
+        )
+        for process in processes:
+            process.target_accesses = 3e7 / n_procs
+        counts = []
+        result = run_experiment(
+            processes,
+            setup.build_policy("memtis"),
+            setup.run_config(stop_when_finished=True),
+            observer=lambda engine, now: counts.append(
+                [p.stats.accesses for p in processes]
+            ),
+            fast_path=fast_path,
+        )
+        return result, processes, counts
+
     @pytest.mark.parametrize("n_procs", [1, 4])
-    def test_fused_run_finishes_on_the_stepped_quantum(self, n_procs):
-        """A fused window must not run past an access target: the
-        fusion horizon reads the arena's live access count, not the
-        lazily flushed ``stats``.  The target takes many quanta, so
-        fusion engages well before any process finishes."""
-        results = []
-        for fusion in (False, True):
-            setup = StandardSetup(duration_ns=4 * SECOND, seed=0)
-            policy = setup.build_policy("memtis")
-            # at 4096 pages the target spans ~50 stepped quanta
-            processes = build_fleet(
-                setup,
-                "pmbench",
-                n_procs=n_procs,
-                pages_per_proc=4096 // n_procs,
-            )
-            for process in processes:
-                process.target_accesses = 3e7 / n_procs
-            results.append(
-                run_experiment(
-                    processes,
-                    policy,
-                    setup.run_config(
-                        fusion=fusion, stop_when_finished=True
-                    ),
-                )
-            )
-        stepped, fused = results
-        assert stepped.engine.quanta_run >= 10
-        assert stepped.duration_ns < 4 * SECOND
-        assert fused.engine.steps_run < fused.engine.quanta_run
-        assert fused.duration_ns == stepped.duration_ns
-        assert fused.engine.quanta_run == stepped.engine.quanta_run
+    def test_arena_finishes_within_one_quantum_of_the_oracle(self, n_procs):
+        """The arena stops on the first quantum at which every live
+        access count reaches its target, and within one quantum of the
+        ``fast_path=False`` oracle."""
+        arena, processes, counts = self._run(n_procs, fast_path=True)
+        target = processes[0].target_accesses
+        assert arena.engine.quanta_run >= 10
+        assert arena.duration_ns == arena.engine.quanta_run * self.QUANTUM_NS
+        assert len(counts) == arena.engine.quanta_run
+        assert all(c >= target for c in counts[-1])
+        assert any(c < target for c in counts[-2])
+        assert all(p.finished for p in processes)
+        oracle, _, _ = self._run(n_procs, fast_path=False)
+        assert oracle.duration_ns < 4 * SECOND
+        assert abs(arena.duration_ns - oracle.duration_ns) <= self.QUANTUM_NS
+
+
+def run_phase_change_fleet(policy_name, fast_path):
+    """Four processes whose hot quarter moves to the other end of their
+    pages every second, under memory pressure (1024 fast pages for a
+    4096-page working set) and a 1 s scan period."""
+    setup = StandardSetup(
+        fast_pages=1024,
+        slow_pages=8192,
+        duration_ns=6 * SECOND,
+        scan_period_ns=SECOND,
+    )
+    n_pages = 1024
+    low = np.ones(n_pages)
+    low[: n_pages // 4] = 50.0
+    high = np.ones(n_pages)
+    high[-n_pages // 4:] = 50.0
+    streams = RngStreams(0)
+    processes = [
+        SimProcess(
+            pid=pid,
+            workload=TraceWorkload([(SECOND, low), (SECOND, high)]),
+            rng=streams.spawn(f"phase-{pid}").get("access"),
+        )
+        for pid in range(1, 5)
+    ]
+    result = run_experiment(
+        processes,
+        setup.build_policy(policy_name),
+        setup.run_config(),
+        fast_path=fast_path,
+    )
+    return result, processes
+
+
+class TestMidRunPhaseChange:
+    @pytest.mark.parametrize("policy_name", ["linux-nb", "memtis", "chrono"])
+    def test_headline_metrics_agree_with_oracle(self, policy_name):
+        """Every phase change swaps each segment's distribution mid-run;
+        the arena reprices the segment and stays statistically
+        equivalent to the oracle through the swaps."""
+        arena, processes = run_phase_change_fleet(policy_name, True)
+        reference, _ = run_phase_change_fleet(policy_name, False)
+        # The last quantum (from 5.95 s) runs in the second phase.
+        assert all(p.workload._phase == 1 for p in processes)
+        assert 0.0 < arena.fmar < 0.99
+        assert arena.stats["pgpromote"] > 0
+        assert arena.throughput_per_sec == pytest.approx(
+            reference.throughput_per_sec, rel=0.05
+        )
+        assert arena.fmar == pytest.approx(
+            reference.fmar, rel=0.05, abs=1e-4
+        )
 
 
 class TestLedgerLaziness:
@@ -319,7 +360,7 @@ class TestWorkloadContract:
         assert arena._wf[0] == 0.75
 
 
-def run_shared_table_fleet(policy_name, fast_path, fusion=False, obs=None):
+def run_shared_table_fleet(policy_name, fast_path, obs=None):
     """Eight multitenant tenants over two shared compiled tables at equal
     delay: many segments whose distribution objects are identical."""
     setup = StandardSetup(duration_ns=2 * SECOND)
@@ -334,7 +375,7 @@ def run_shared_table_fleet(policy_name, fast_path, fusion=False, obs=None):
     return run_experiment(
         processes,
         setup.build_policy(policy_name),
-        setup.run_config(fusion=fusion),
+        setup.run_config(),
         fast_path=fast_path,
         obs=obs,
     )
@@ -353,20 +394,6 @@ class TestSharedTableFleet:
         )
         assert arena.fmar == pytest.approx(
             reference.fmar, rel=0.05, abs=1e-4
-        )
-
-    def test_fused_arena_stays_equivalent(self):
-        hub = ObsHub.create(metrics=True)
-        fused = run_shared_table_fleet(
-            "memtis", fast_path=True, fusion=True, obs=hub
-        )
-        stepped = run_shared_table_fleet("memtis", fast_path=True)
-        assert hub.snapshot()["counters"]["engine.fused_quanta"] > 0
-        assert fused.throughput_per_sec == pytest.approx(
-            stepped.throughput_per_sec, rel=0.02
-        )
-        assert fused.fmar == pytest.approx(
-            stepped.fmar, rel=0.02, abs=1e-4
         )
 
     def test_retired_interning_metrics_read_zero(self):

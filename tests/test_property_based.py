@@ -269,37 +269,29 @@ class TestSchedulerProperties:
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=500),
-                st.booleans(),  # soft
                 st.booleans(),  # cancelled
             ),
             min_size=1,
             max_size=40,
         )
     )
-    def test_next_event_ns_consistent_with_run_due(self, specs):
-        """``next_event_ns`` is exactly the first instant at which
-        ``run_due`` would fire a hard event; soft and cancelled events
-        never move it."""
+    def test_next_due_consistent_with_run_due(self, specs):
+        """``next_due`` is exactly the first instant at which ``run_due``
+        would fire a live event; cancelled events never move it."""
         scheduler = EventScheduler()
-        hard_fired = []
-        for when, soft, cancelled in specs:
-            if soft:
-                event = scheduler.schedule(when, lambda t: None, soft=True)
-            else:
-                event = scheduler.schedule(when, hard_fired.append)
+        fired = []
+        for when, cancelled in specs:
+            event = scheduler.schedule(when, fired.append)
             if cancelled:
                 event.cancel()
-        live_hard = sorted(
-            when for when, soft, cancelled in specs
-            if not soft and not cancelled
-        )
-        horizon = scheduler.next_event_ns()
-        assert horizon == (live_hard[0] if live_hard else None)
+        live = sorted(when for when, cancelled in specs if not cancelled)
+        horizon = scheduler.next_due()
+        assert horizon == (live[0] if live else None)
         if horizon is not None and horizon > 0:
             scheduler.run_due(horizon - 1)
-            assert hard_fired == []
+            assert fired == []
         scheduler.run_due(1000)
-        assert hard_fired == live_hard
+        assert fired == live
 
     @given(
         st.lists(
@@ -346,7 +338,7 @@ class TestSchedulerProperties:
 
 class TestArenaMassRepairProperties:
     """Random multi-segment migration journals keep the arena's mass
-    matrix consistent through the fused replay.
+    matrix consistent through the batched replay.
 
     ``_repair_mass_many`` folds several segments' journal entries in
     one pass, replacing the per-entry weighted ``bincount`` with two
@@ -393,9 +385,9 @@ class TestArenaMassRepairProperties:
         )
     )
     @settings(deadline=None, max_examples=25)
-    def test_fused_replay_clamps_drift_and_tracks_recount(self, moves):
+    def test_batched_replay_clamps_drift_and_tracks_recount(self, moves):
         arena, processes = self._build_arena()
-        # Touch at least two segments so the repair takes the fused
+        # Touch at least two segments so the repair takes the batched
         # multi-segment path rather than delegating to the sequential
         # single-segment replay.
         for seg in (0, 1):

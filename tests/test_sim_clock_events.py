@@ -118,43 +118,3 @@ class TestScheduler:
         sched.clear()
         assert sched.next_due() is None
 
-
-class TestNextEventNs:
-    """The quantum-fusion horizon: earliest pending *hard* event."""
-
-    def test_empty_queue(self):
-        assert EventScheduler().next_event_ns() is None
-
-    def test_matches_next_due_without_soft_events(self):
-        sched = EventScheduler()
-        sched.schedule(42, lambda t: None)
-        sched.schedule(7, lambda t: None)
-        assert sched.next_event_ns() == sched.next_due() == 7
-
-    def test_ignores_soft_events(self):
-        sched = EventScheduler()
-        sched.schedule(5, lambda t: None, soft=True)
-        sched.schedule(30, lambda t: None)
-        assert sched.next_due() == 5
-        assert sched.next_event_ns() == 30
-
-    def test_all_soft_means_no_horizon(self):
-        sched = EventScheduler()
-        sched.schedule(5, lambda t: None, soft=True)
-        assert sched.next_event_ns() is None
-
-    def test_skips_cancelled_hard_events(self):
-        sched = EventScheduler()
-        first = sched.schedule(1, lambda t: None)
-        sched.schedule(9, lambda t: None)
-        first.cancel()
-        assert sched.next_event_ns() == 9
-
-    def test_soft_events_still_fire_with_scheduled_time(self):
-        """Deferral changes *when* a soft callback runs, not its argument."""
-        sched = EventScheduler()
-        fired = []
-        sched.schedule(5, fired.append, soft=True)
-        sched.schedule(15, fired.append, soft=True)
-        assert sched.run_due(100) == 2
-        assert fired == [5, 15]

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.harness.experiments import StandardSetup
-from repro.harness.runner import run_experiment
 from repro.sim.rng import RngStreams
 from repro.sim.timeunits import MILLISECOND, SECOND
 from repro.vm.process import SimProcess
@@ -142,11 +140,10 @@ class TestCompiledTrace:
         )
         workload = compiled.to_workload()
         assert isinstance(workload, StationaryTableWorkload)
-        # Same frozen object every call (the fusion witness's identity).
+        # Same frozen object every call (the arena's identity check).
         assert workload.access_distribution() is (
             workload.access_distribution()
         )
-        assert workload.stable_until_ns(0) is None
 
     def test_multi_phase_becomes_trace_workload(self):
         windows = np.vstack([
@@ -156,7 +153,7 @@ class TestCompiledTrace:
         compiled = compile_windows(windows, SECOND)
         workload = compiled.to_workload()
         assert isinstance(workload, TraceWorkload)
-        assert workload.stable_until_ns(0) == 3 * SECOND
+        assert workload._durations == [3 * SECOND, 3 * SECOND]
         assert compiled.total_ns == 6 * SECOND
 
     def test_idle_windows_compile_to_zero_phases(self):
@@ -244,34 +241,7 @@ class TestTraceFiles:
         assert csv.n_events > 0
 
 
-def replay_result(workload, fusion, duration_ns):
-    setup = StandardSetup(duration_ns=duration_ns)
-    process = SimProcess(
-        pid=0,
-        workload=workload,
-        rng=RngStreams(11).spawn("replay").get("access"),
-    )
-    policy = setup.build_policy("chrono")
-    return run_experiment(
-        [process], policy, setup.run_config(fusion=fusion)
-    )
-
-
 class TestReplay:
-    def test_fusion_engages_on_phase_stable_trace(self):
-        compiled = compile_event_stream(
-            synthetic_event_stream(
-                30_000, n_pages=128, n_phases=2, windows_per_phase=6
-            ),
-            n_pages=128,
-        )[0]
-        result = replay_result(
-            compiled.to_workload(), fusion=True,
-            duration_ns=compiled.total_ns,
-        )
-        engine = result.engine
-        assert engine.fused_quanta / engine.quanta_run > 0.0
-
     def test_record_compile_replay_equivalence(self):
         """A compiled re-recording replays within the arena suite's
         statistical-equivalence bounds of the original run."""

@@ -116,10 +116,10 @@ class TestFleet:
                 p.workload.access_distribution(now_ns=0).sum()
             ) == 0.0
         )
-        horizon = spawner.workload.stable_until_ns(0)
+        arrival = spawner.workload._durations[0]
         # Idle until the arrival instant, busy pattern afterwards.
-        assert 0 < horizon < 2 * SECOND
-        after = spawner.workload.access_distribution(now_ns=horizon)
+        assert 0 < arrival < 2 * SECOND
+        after = spawner.workload.access_distribution(now_ns=arrival)
         assert float(after.sum()) == pytest.approx(1.0)
 
     def test_shifters_cycle_two_patterns(self):
@@ -135,7 +135,7 @@ class TestFleet:
         workload = shifters[0].workload
         first = workload.access_distribution(now_ns=0)
         second = workload.access_distribution(
-            now_ns=workload.stable_until_ns(0)
+            now_ns=workload._durations[0]
         )
         assert first is not second
         assert float(np.abs(first - second).sum()) > 0.0
