@@ -207,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tour_p.add_argument("--duration", type=_positive_float, default=60.0,
                         help="simulated seconds per cell (default: 60)")
-    tour_p.add_argument("--fast-pages", type=int, default=4_096,
+    tour_p.add_argument("--fast-pages", type=_positive_int, default=4_096,
                         help="fast-tier capacity (default: 4096)")
-    tour_p.add_argument("--slow-pages", type=int, default=32_768,
+    tour_p.add_argument("--slow-pages", type=_positive_int, default=32_768,
                         help="slow-tier capacity (default: 32768)")
-    tour_p.add_argument("--page-scale", type=int, default=64,
+    tour_p.add_argument("--page-scale", type=_positive_int, default=64,
                         help="real pages per simulated page (default: 64)")
     tour_p.add_argument(
         "--out", metavar="FILE", default="tournament.json",
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tiering policy (default: chrono)",
     )
     replay_p.add_argument(
-        "--window-ms", type=float, default=None, metavar="MS",
+        "--window-ms", type=_window_ms, default=None, metavar="MS",
         help="binning window for event-format traces (default: 1000; "
         "window-format traces always use their recorded interval)",
     )
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "segmentation (default: 0.25)",
     )
     replay_p.add_argument(
-        "--delay-units", type=int, default=0,
+        "--delay-units", type=_non_negative_int, default=0,
         help="per-access think time added to every replayed process, "
         "in pmbench delay units (default: 0)",
     )
@@ -262,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated seconds (default: one full replay cycle of "
         "the longest compiled trace)",
     )
-    replay_p.add_argument("--fast-pages", type=int, default=4_096,
+    replay_p.add_argument("--fast-pages", type=_positive_int, default=4_096,
                           help="fast-tier capacity (default: 4096)")
-    replay_p.add_argument("--slow-pages", type=int, default=32_768,
+    replay_p.add_argument("--slow-pages", type=_positive_int, default=32_768,
                           help="slow-tier capacity (default: 32768)")
     replay_p.add_argument(
-        "--page-scale", type=int, default=64,
+        "--page-scale", type=_positive_int, default=64,
         help="real pages per simulated page (default: 64)",
     )
     replay_p.add_argument("--seed", type=_seed_arg, default=0,
@@ -306,25 +306,25 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                         help="number of processes (default: 8)")
     parser.add_argument("--pages", type=_positive_int, default=4_096,
                         help="pages per process (default: 4096)")
-    parser.add_argument("--rw-ratio", type=float, default=0.95,
+    parser.add_argument("--rw-ratio", type=_fraction, default=0.95,
                         help="read share for pmbench (default: 0.95)")
     parser.add_argument(
         "--tenants", type=_positive_int, default=50,
         help="tenant count for the multitenant workload (default: 50)",
     )
     parser.add_argument(
-        "--delay-step-units", type=int, default=1,
+        "--delay-step-units", type=_non_negative_int, default=1,
         help="per-tenant pmbench delay step for the multitenant "
         "workload: tenant i stalls i*STEP delay units per access "
         "(default: 1)",
     )
     parser.add_argument(
-        "--base-delay-units", type=int, default=0,
+        "--base-delay-units", type=_non_negative_int, default=0,
         help="uniform pmbench think time added to every multitenant "
         "tenant on top of the per-tenant stagger (default: 0)",
     )
     parser.add_argument(
-        "--distinct-tables", type=int, default=1,
+        "--distinct-tables", type=_positive_int, default=1,
         help="distinct distribution tables shared round-robin across "
         "multitenant tenants (default: 1)",
     )
@@ -355,11 +355,11 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--duration", type=_positive_float, default=60.0,
                         help="simulated seconds (default: 60)")
-    parser.add_argument("--fast-pages", type=int, default=4_096,
+    parser.add_argument("--fast-pages", type=_positive_int, default=4_096,
                         help="fast-tier capacity (default: 4096)")
-    parser.add_argument("--slow-pages", type=int, default=32_768,
+    parser.add_argument("--slow-pages", type=_positive_int, default=32_768,
                         help="slow-tier capacity (default: 32768)")
-    parser.add_argument("--page-scale", type=int, default=64,
+    parser.add_argument("--page-scale", type=_positive_int, default=64,
                         help="real pages per simulated page (default: 64)")
     parser.add_argument("--seed", type=_seed_arg, default=0,
                         help="root RNG seed (default: 0)")
@@ -379,7 +379,8 @@ def _bounded(kind, accept, message: str):
     return parse
 
 
-_seed_arg = _bounded(int, lambda v: v >= 0, "must be >= 0")
+_non_negative_int = _bounded(int, lambda v: v >= 0, "must be >= 0")
+_seed_arg = _non_negative_int
 _positive_int = _bounded(int, lambda v: v >= 1, "must be >= 1")
 _positive_float = _bounded(
     float, lambda v: math.isfinite(v) and v > 0, "must be a finite number > 0"
@@ -389,6 +390,11 @@ _non_negative_float = _bounded(
     "must be a finite number >= 0",
 )
 _fraction = _bounded(float, lambda v: 0 <= v <= 1, "must be within [0, 1]")
+#: a binning window of at least one nanosecond
+_window_ms = _bounded(
+    float, lambda v: math.isfinite(v) and v * 1e6 >= 1,
+    "must be a finite number >= 0.000001 (one nanosecond)",
+)
 
 
 def _jobs_arg(value: str) -> int:

@@ -22,7 +22,7 @@ extremely cold and are counted into the coldest bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.mem.tier import FAST_TIER, SLOW_TIER
 from repro.sim.kernels import dcsc_fold
 from repro.sim.timeunits import SECOND
 from repro.vm.fault import FleetFaultBatch
+from repro.vm.page_state import FleetPages
 from repro.vm.process import SimProcess
 
 
@@ -142,6 +143,155 @@ class DcscCollector:
             )
         return int(victims.size)
 
+    def probe_fleet(
+        self, processes: Sequence[SimProcess], now_ns: int
+    ) -> List[Tuple[SimProcess, int]]:
+        """One probe tick over ``processes``: bit-identical to calling
+        :meth:`probe_process` on each in order.
+
+        Returns ``(process, n_probed)`` for every process that probed at
+        least one page, in order.  ``PG_probed`` holds exactly when a
+        page's measurement round is non-zero, so the pre-probe filter
+        and the expiry read the fleet-indexed round array instead of
+        each process's flags: expiry is one pass over the slot table,
+        and only processes with expired probes pay per-process page
+        writes.  Each process still draws its victims from the shared
+        stream, in order; the flags and protection of all new probes are
+        then written through the processes' page store
+        (:class:`~repro.vm.page_state.FleetPages`, adopting them into a
+        new one when they share none).
+        """
+        processes = list(processes)
+        if not processes:
+            return []
+        members = [p.pages for p in processes]
+        fleet = FleetPages.common(members) or FleetPages(members)
+        table = self._table
+        table.reserve((p.pid, p.n_pages) for p in processes)
+        bases = np.array(
+            [table.base(p.pid, p.n_pages) for p in processes],
+            dtype=np.int64,
+        )
+        sizes = np.array([p.n_pages for p in processes], dtype=np.int64)
+        self._expire_fleet(processes, bases, sizes, now_ns)
+
+        config = self.config
+        choice = self._rng.choice
+        parts = []
+        for process in processes:
+            n_pages = process.n_pages
+            k = max(
+                config.min_victims_per_process,
+                int(round(config.victim_fraction * n_pages)),
+            )
+            parts.append(choice(n_pages, size=min(k, n_pages), replace=False))
+        counts = np.array([part.size for part in parts], dtype=np.int64)
+        owner = np.repeat(np.arange(len(processes), dtype=np.int64), counts)
+        victims = np.concatenate(parts)
+        rounds = table.arrays["round"]
+        keep = rounds[bases[owner] + victims] == 0
+        owner = owner[keep]
+        # Probe order carries no meaning; the fleet protection pass
+        # takes each process's victims sorted.
+        stride = int(sizes.max()) + 1
+        keys = np.sort(owner * stride + victims[keep])
+        owner = keys // stride
+        victims = keys - owner * stride
+        ids = bases[owner] + victims
+        rounds[ids] = 1
+        table.arrays["probe_ts"][ids] = now_ns
+        cuts = np.searchsorted(
+            owner, np.arange(len(processes) + 1, dtype=np.int64)
+        ).tolist()
+        probed = [
+            (j, cuts[j + 1] - cuts[j])
+            for j in range(len(processes))
+            if cuts[j + 1] > cuts[j]
+        ]
+        if probed:
+            members = [members[j] for j, _ in probed]
+            pages_ids = FleetPages.ids(
+                members, [n for _, n in probed], victims
+            )
+            fleet.probed[pages_ids] = True
+            fleet.protect_sorted_at(
+                members,
+                pages_ids,
+                [0] + [cuts[j + 1] for j, _ in probed],
+                victims,
+                now_ns,
+            )
+        obs = self.obs
+        if obs is not None:
+            for j, n in probed:
+                obs.emit(
+                    "dcsc.probe", now_ns, pid=processes[j].pid, n_probed=n
+                )
+        self.probes_issued += len(ids)
+        if obs is not None and ids.size:
+            obs.inc("dcsc.probes", int(ids.size))
+        return [(processes[j], n) for j, n in probed]
+
+    def _expire_fleet(
+        self,
+        processes: List[SimProcess],
+        bases: np.ndarray,
+        sizes: np.ndarray,
+        now_ns: int,
+    ) -> None:
+        """:meth:`_expire_stale` for every process in one slot-table
+        pass; the heat maps take each process's counts in order."""
+        table = self._table
+        used = table.used
+        rounds = table.arrays["round"]
+        stale = np.flatnonzero(
+            (rounds[:used] != 0)
+            & (now_ns - table.arrays["probe_ts"][:used]
+               > self.config.probe_timeout_ns)
+        )
+        if stale.size == 0:
+            return
+        # Owner of each stale slot among ``processes``; slots of other
+        # processes (exited, or not in this tick) stay untouched.
+        order = np.argsort(bases, kind="stable")
+        sorted_bases = bases[order]
+        pos = np.searchsorted(sorted_bases, stale, side="right") - 1
+        inside = pos >= 0
+        owner = order[np.maximum(pos, 0)]
+        inside &= stale < bases[owner] + sizes[owner]
+        owner = owner[inside]
+        stale = stale[inside]
+        if stale.size == 0:
+            return
+        # Process order, then vpn order within each process.
+        by_owner = np.argsort(owner, kind="stable")
+        owner = owner[by_owner]
+        stale = stale[by_owner]
+        vpns = stale - bases[owner]
+        rounds[stale] = 0
+        cuts = np.flatnonzero(np.diff(owner)) + 1
+        counts = np.zeros((len(cuts) + 1, 2), dtype=np.float64)
+        for row, (lo, hi) in enumerate(
+            zip([0] + cuts.tolist(), cuts.tolist() + [stale.size])
+        ):
+            pages = processes[int(owner[lo])].pages
+            mine = vpns[lo:hi]
+            tiers = pages.tier[mine]
+            counts[row, 0] = np.count_nonzero(tiers == FAST_TIER)
+            counts[row, 1] = np.count_nonzero(tiers == SLOW_TIER)
+            pages.probed[mine] = False
+            pages.unprotect(mine)
+        for column, tier in enumerate((FAST_TIER, SLOW_TIER)):
+            heat_map = self.heat_maps[tier]
+            # Sequential per-process adds, as the per-process loop does
+            # them (adding a zero count is exact).
+            heat_map[-1] = np.add.accumulate(
+                np.concatenate(([heat_map[-1]], counts[:, column]))
+            )[-1]
+        self.samples_recorded += float(counts.sum())
+        if self.obs is not None:
+            self.obs.inc("dcsc.expired", int(stale.size))
+
     def decay_maps(self) -> None:
         """Age the heat maps so recent windows dominate."""
         for heat_map in self.heat_maps.values():
@@ -233,10 +383,25 @@ class DcscCollector:
                 q = self.config.requantize_ns
                 restart_ts = (restart_ts // q + 1) * q
             round1 = vpns[rows]
-            for j, lo, hi in probes.runs(rows):
-                processes[j].pages.protect_at(
-                    round1[lo:hi], restart_ts[lo:hi]
+            runs = probes.runs(rows)
+            # On a fleet store the writes are one pass for every
+            # process; that pass needs each process's pages sorted and
+            # unique, as the arena's draw yields them.
+            ascending = round1[1:] > round1[:-1]
+            ascending[[hi - 1 for _, _, hi in runs[:-1]]] = True
+            if probes.ids is not None and ascending.all():
+                probes.fleet.protect_sorted_at(
+                    [processes[j].pages for j, _, _ in runs],
+                    probes.ids[rows],
+                    [0] + [hi for _, _, hi in runs],
+                    round1,
+                    restart_ts,
                 )
+            else:
+                for j, lo, hi in runs:
+                    processes[j].pages.protect_at(
+                        round1[lo:hi], restart_ts[lo:hi]
+                    )
 
         if not in_round2.any():
             return
@@ -270,8 +435,11 @@ class DcscCollector:
             heat_map[:] = np.add.accumulate(rows_in_order, axis=0)[-1]
         self.samples_recorded += float(rows.size)
         rounds[ids[rows]] = 0
-        for j, lo, hi in runs:
-            processes[j].pages.probed[round2[lo:hi]] = False
+        if probes.ids is not None:
+            probes.fleet.probed[probes.ids[rows]] = False
+        else:
+            for j, lo, hi in runs:
+                processes[j].pages.probed[round2[lo:hi]] = False
         obs = self.obs
         if obs is not None:
             obs.inc("dcsc.samples", int(rows.size))

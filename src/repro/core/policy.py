@@ -358,19 +358,28 @@ class ChronoPolicy(TieringPolicy):
     # -- DCSC probing ------------------------------------------------------
     def _probe_tick(self, now_ns: int) -> None:
         kernel = self._require_kernel()
-        self.dcsc.decay_maps()
-        self.dcsc.reserve(kernel.processes)
-        for process in kernel.processes:
-            if process.finished:
-                continue
+        profiler = kernel.profiler
+        if profiler is not None:
+            profiler.push("dcsc_probe")
+        try:
+            self.dcsc.decay_maps()
+            self.dcsc.reserve(kernel.processes)
             # Stamp probes at the effective (clock) time; see
             # Kernel.advance_to for why this differs from now_ns.
-            probed = self.dcsc.probe_process(process, kernel.clock.now)
-            if probed:
-                cost = probed * kernel.machine.spec.effective_scan_cost_ns
+            probes = self.dcsc.probe_fleet(
+                [p for p in kernel.processes if not p.finished],
+                kernel.clock.now,
+            )
+            unit_cost = kernel.machine.spec.effective_scan_cost_ns
+            stats = kernel.stats
+            for process, probed in probes:
+                cost = probed * unit_cost
                 process.charge_kernel(cost)
-                kernel.stats.kernel_time_ns += cost
-                kernel.stats.dcsc_probes += probed
+                stats.kernel_time_ns += cost
+                stats.dcsc_probes += probed
+        finally:
+            if profiler is not None:
+                profiler.pop()
         kernel.scheduler.schedule(
             now_ns + self.dcsc_config.probe_period_ns,
             self._probe_tick,

@@ -31,18 +31,23 @@ One quantum is then:
    ``FAULT_DORMANT_MAX_TOUCH``: its own Bernoulli draw) and a *dormant*
    tail (one aggregate Poisson draw placed by inverse-CDF lookup) --
    distributionally exact by Poisson thinning at O(active + faults)
-   cost.  Active candidates from all segments share one concatenated
-   Bernoulli draw (``np.add.reduceat`` recovers per-segment touch
-   counts), and the dormant tails merge into a single ``K ~
-   Poisson(sum_i n_i * dormant_mass_i)`` draw partitioned back to
-   segments by a two-level inverse-CDF lookup -- exact by Poisson
-   superposition.  When exactly one segment is fault-eligible the draw
-   uses the process's own stream instead.  The touched segments then
-   go through one *fault window* (:meth:`ProcessArena._fault_window`):
-   one fleet resolve (timestamps from each process's own stream,
-   offsets and CITs as vector operations), one kernel account, and one
-   ``TieringPolicy.on_fault_fleet`` hook call -- bit-identical to
-   resolving and delivering segment by segment,
+   cost.  Stale splits (a new protected snapshot or distribution)
+   rebuild in one batched pass.  Active candidates from all segments
+   share one concatenated Bernoulli draw (hits map back to segments
+   with one ``searchsorted``), and the dormant tails merge into a
+   single ``K ~ Poisson(sum_i n_i * dormant_mass_i)`` draw partitioned
+   back to segments by a two-level inverse-CDF lookup -- exact by
+   Poisson superposition.  When exactly one segment is fault-eligible
+   the draw uses the process's own stream instead.  The touched
+   segments then go through one *fault window*
+   (:meth:`ProcessArena._fault_window`): touched pages and
+   remainders cut per segment from one mask over the concatenated
+   snapshots, one fleet resolve (timestamps from each process's own
+   stream, offsets and CITs as vector operations), one kernel account,
+   and one ``TieringPolicy.on_fault_fleet`` hook call -- bit-identical
+   to drawing, resolving and delivering segment by segment.  Beyond an
+   identity check per eligible segment, per-segment Python work is
+   paid by touched and stale segments only,
 4. one *ledger account*: ``open_n += n_vec`` extends the concatenated
    open run; each segment's share drains lazily into its
    ``PageState``'s own pending ledger the first time a consumer reads
@@ -54,6 +59,10 @@ One quantum is then:
    vectors over segments (keyed by the engine's per-quantum latency
    keys) and scatter into per-process mixtures once per run,
 7. one *demand fold*: per-tier byte demand summed over segments.
+
+The arena adopts every segment's per-page arrays into one
+:class:`~repro.vm.page_state.FleetPages` store, so the fault window,
+DCSC and LRU aging index many processes' pages at once.
 
 Equivalence contract (``docs/SIMULATION.md`` section 6): the arena
 matches the per-page oracle (``QuantumEngine(fast_path=False)``)
@@ -74,7 +83,8 @@ from repro.mem.machine import CACHE_LINE_BYTES
 from repro.mem.tier import FAST_TIER
 from repro.policies.base import TieringPolicy
 from repro.sim.kernels import searchsorted_right
-from repro.vm.fault import FleetFaultBatch, resolve_hint_faults
+from repro.vm.fault import FleetFaultBatch, resolve_fleet_faults
+from repro.vm.page_state import FleetPages
 
 
 class FaultCache:
@@ -88,20 +98,18 @@ class FaultCache:
     """
 
     __slots__ = (
-        "fault_probs", "fault_prot", "prot_p", "active_pos", "active_p",
-        "dormant_pos", "dormant_cdf", "dormant_mass", "touched_mask",
+        "fault_probs", "fault_prot", "active_pos", "active_p",
+        "dormant_pos", "dormant_cdf", "dormant_mass",
     )
 
     def __init__(self) -> None:
         self.fault_probs: Optional[np.ndarray] = None
         self.fault_prot: Optional[np.ndarray] = None
-        self.prot_p: Optional[np.ndarray] = None
         self.active_pos: Optional[np.ndarray] = None
         self.active_p: Optional[np.ndarray] = None
         self.dormant_pos: Optional[np.ndarray] = None
         self.dormant_cdf: Optional[np.ndarray] = None
         self.dormant_mass: float = 0.0
-        self.touched_mask: Optional[np.ndarray] = None
 
 
 class ProcessArena:
@@ -136,11 +144,16 @@ class ProcessArena:
         self.seg_starts = np.zeros(n_segs + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.seg_starts[1:])
         total = int(self.seg_starts[-1])
+        #: every segment's page state; the per-page arrays become slices
+        #: of one fleet store (global page id = ``seg_starts[i] + vpn``),
+        #: so fleet passes -- fault writes, DCSC probes, LRU aging --
+        #: index them globally
+        self._pages = [p.pages for p in self.processes]
+        self.fleet_pages = FleetPages(self._pages)
         #: concatenated access distributions (refreshed per segment on a
-        #: phase change) and tier ids (scattered O(moved) on repair);
-        #: both feed the full-recount path
+        #: phase change) and the live tier ids of the fleet store
         self.concat_probs = np.zeros(total, dtype=np.float64)
-        self.concat_tier = np.zeros(total, dtype=np.int8)
+        self.concat_tier = self.fleet_pages.tier
         #: the *original* immutable distribution array per segment --
         #: ledger runs hold these by reference (the
         #: concatenated copy above can never serve identity checks)
@@ -218,6 +231,19 @@ class ProcessArena:
             if cache is None:
                 cache = caches[p.pid] = FaultCache()
             self._fault_caches.append(cache)
+        #: each segment's active-head size and dormant mass, mirrored
+        #: from its cache (``_rebuild_fault_caches`` keeps them current)
+        #: so the aggregate draw gathers them as vectors
+        self._active_sizes = np.array(
+            [
+                0 if c.active_p is None else c.active_p.size
+                for c in self._fault_caches
+            ],
+            dtype=np.int64,
+        )
+        self._dormant_masses = np.array(
+            [c.dormant_mass for c in self._fault_caches], dtype=np.float64
+        )
         self._last_reads = np.zeros(n_segs, dtype=np.float64)
         self._build_masses()
         self._attach_ledger_sources()
@@ -241,7 +267,6 @@ class ProcessArena:
             lo, hi = int(starts[i]), int(starts[i + 1])
             self.probs_refs[i] = probs
             self.concat_probs[lo:hi] = probs
-            self.concat_tier[lo:hi] = proc.pages.tier
             self.mass_epoch[i] = proc.pages.epoch
             self.mass_resync[i] = self.MASS_RESYNC_MOVES
             self._wf[i] = workload.write_fraction
@@ -304,14 +329,15 @@ class ProcessArena:
         """
         acc_n, acc_fast = self._acc_n, self._acc_fast
         acc_user, acc_stall = self._acc_user, self._acc_stall
-        for i, proc in enumerate(self.processes):
-            if acc_n[i] != 0.0 or acc_user[i] != 0.0:
-                proc.record_accesses(
-                    float(acc_n[i]),
-                    float(acc_fast[i]),
-                    float(acc_user[i]),
-                    float(acc_stall[i]),
-                )
+        for proc, n, fast, user, stall in zip(
+            self.processes,
+            acc_n.tolist(),
+            acc_fast.tolist(),
+            acc_user.tolist(),
+            acc_stall.tolist(),
+        ):
+            if n != 0.0 or user != 0.0:
+                proc.record_accesses(n, fast, user, stall)
         acc_n.fill(0.0)
         acc_fast.fill(0.0)
         acc_user.fill(0.0)
@@ -351,7 +377,6 @@ class ProcessArena:
             )
             if moves is not None and len(moves) <= self.mass_resync[i]:
                 row = self.mass[i]
-                lo = int(self.seg_starts[i])
                 for _epoch, vpns, old_tiers, new_tier in moves:
                     if vpns.size:
                         moved = probs[vpns]
@@ -359,7 +384,6 @@ class ProcessArena:
                             old_tiers, weights=moved, minlength=row.size
                         )
                         row[new_tier] += float(moved.sum())
-                        self.concat_tier[lo + vpns] = np.int8(new_tier)
                 # Replay accumulates rounding error; a tier whose true
                 # mass reached zero can land a few ulps below it, and a
                 # negative mass poisons the demand fold (contention
@@ -375,13 +399,11 @@ class ProcessArena:
     def _recount_mass(self, i: int, pages: Any, probs: np.ndarray) -> None:
         """Full recount for segment ``i`` (distribution swap, truncated
         journal, or drift-bounding resync)."""
-        lo, hi = int(self.seg_starts[i]), int(self.seg_starts[i + 1])
         self.mass[i] = np.bincount(
             pages.tier.astype(np.int64),
             weights=probs,
             minlength=self.n_tiers,
         )
-        self.concat_tier[lo:hi] = pages.tier
         self.mass_epoch[i] = pages.epoch
         self.mass_resync[i] = self.MASS_RESYNC_MOVES
 
@@ -408,7 +430,6 @@ class ProcessArena:
             self._repair_mass(i, proc, self.probs_refs[i])
             return
         concat_probs = self.concat_probs
-        concat_tier = self.concat_tier
         seg_starts = self.seg_starts
         replayed = False
         for i, proc in stale:
@@ -440,7 +461,6 @@ class ProcessArena:
                             minlength=row.size,
                         )
                     row[new_tier] += moved
-                    concat_tier[gvpns] = np.int8(new_tier)
             self.mass_resync[i] -= len(moves)
             self.mass_epoch[i] = pages.epoch
             replayed = True
@@ -603,7 +623,8 @@ class ProcessArena:
                     )
                 else:
                     self._batched_faults(
-                        eligible, n_vec, faults, start_ns, quantum_ns
+                        eligible, n_vec, n_list, faults, start_ns,
+                        quantum_ns,
                     )
             finally:
                 if profiler is not None:
@@ -675,24 +696,26 @@ class ProcessArena:
     def _rebuild_fault_caches(self, rebuilds: list) -> None:
         """Split protected snapshots into active / dormant candidates.
 
-        ``rebuilds`` holds ``(cache, probs, protected, n_accesses)``
+        ``rebuilds`` holds ``(seg, cache, probs, protected, n_accesses)``
         rows, one per segment whose protected set or access distribution
         changed (both are replaced, never mutated, so an identity check
         detects staleness).  Costs O(protected); the threshold compares
         and position scans run once over the concatenated snapshots, and
         each segment keeps slices of the result -- element for element
-        what a per-segment split computes.
+        what a per-segment split computes.  The segments' active-head
+        sizes and dormant masses are mirrored into the arena's
+        per-segment vectors.
         """
         cut_touch = self.FAULT_DORMANT_MAX_TOUCH
         if len(rebuilds) == 1:
-            cache, probs, protected, n_accesses = rebuilds[0]
+            _, _, probs, protected, n_accesses = rebuilds[0]
             p_all = probs[protected]
             active = p_all >= cut_touch / max(n_accesses, 1.0)
         else:
-            parts = [probs[protected] for _, probs, protected, _ in rebuilds]
+            parts = [row[2][row[3]] for row in rebuilds]
             p_all = np.concatenate(parts)
             active = p_all >= np.repeat(
-                [cut_touch / max(row[3], 1.0) for row in rebuilds],
+                [cut_touch / max(row[4], 1.0) for row in rebuilds],
                 [part.size for part in parts],
             )
         # ``nonzero()[0]`` is flatnonzero without its Python wrapper
@@ -703,13 +726,13 @@ class ProcessArena:
         active &= p_all > 0.0  # zero-probability pages can never fault
         dormant_idx = active.nonzero()[0]
         dormant_p = p_all[dormant_idx]
-        offsets = list(accumulate(
-            (row[2].size for row in rebuilds), initial=0
-        ))
         if len(rebuilds) == 1:
             active_cuts = [0, active_idx.size]
             dormant_cuts = [0, dormant_idx.size]
         else:
+            offsets = list(accumulate(
+                (row[3].size for row in rebuilds), initial=0
+            ))
             # Positions relative to each segment's own snapshot.
             active_cuts = np.searchsorted(active_idx, offsets)
             dormant_cuts = np.searchsorted(dormant_idx, offsets)
@@ -720,19 +743,22 @@ class ProcessArena:
             )
             active_cuts = active_cuts.tolist()
             dormant_cuts = dormant_cuts.tolist()
-        for j, (cache, probs, protected, _) in enumerate(rebuilds):
+        masses = []
+        for j, (_, cache, probs, protected, _) in enumerate(rebuilds):
             a_lo, a_hi = active_cuts[j], active_cuts[j + 1]
             d_lo, d_hi = dormant_cuts[j], dormant_cuts[j + 1]
-            cache.prot_p = p_all[offsets[j]:offsets[j + 1]]
             cache.active_pos = active_idx[a_lo:a_hi]
             cache.active_p = active_p[a_lo:a_hi]
             cache.dormant_pos = dormant_idx[d_lo:d_hi]
             cdf = dormant_p[d_lo:d_hi].cumsum()
             cache.dormant_cdf = cdf
             cache.dormant_mass = float(cdf[-1]) if cdf.size else 0.0
-            cache.touched_mask = np.empty(protected.size, dtype=bool)
             cache.fault_probs = probs
             cache.fault_prot = protected
+            masses.append(cache.dormant_mass)
+        segs = [row[0] for row in rebuilds]
+        self._active_sizes[segs] = np.diff(active_cuts)
+        self._dormant_masses[segs] = masses
 
     def _sample_hint_faults(
         self,
@@ -766,7 +792,7 @@ class ProcessArena:
             or cache.fault_prot is not protected
         ):
             self._rebuild_fault_caches(
-                [(cache, probs, protected, n_accesses)]
+                [(i, cache, probs, protected, n_accesses)]
             )
         rng = process.rng
         mask = None
@@ -775,8 +801,7 @@ class ProcessArena:
             lam = n_accesses * active_p
             touched = rng.random(active_p.size) < -np.expm1(-lam)
             if touched.any():
-                mask = cache.touched_mask
-                mask[:] = False
+                mask = np.zeros(protected.size, dtype=bool)
                 mask[cache.active_pos[touched]] = True
         if cache.dormant_mass > 0.0:
             k = rng.poisson(n_accesses * cache.dormant_mass)
@@ -791,62 +816,74 @@ class ProcessArena:
                 # back into range (measure-zero event, any bucket works).
                 np.minimum(hits, cdf.size - 1, out=hits)
                 if mask is None:
-                    mask = cache.touched_mask
-                    mask[:] = False
+                    mask = np.zeros(protected.size, dtype=bool)
                 mask[cache.dormant_pos[hits]] = True
         if mask is None:
             return 0
         fleet = self._fault_window(
-            [(process, protected, cache, mask, n_accesses)],
-            start_ns,
-            quantum_ns,
+            [i], [protected], mask, start_ns, quantum_ns
         )
         return fleet.n_faults
 
     def _fault_window(
         self,
-        touched: list,
+        segs: List[int],
+        protected: List[np.ndarray],
+        mask: np.ndarray,
         start_ns: int,
         quantum_ns: int,
     ) -> FleetFaultBatch:
         """Resolve, account and deliver one quantum's hint faults for
-        every process with touched protected pages.
+        every segment with touched protected pages.
 
-        ``touched`` holds ``(process, protected, cache, mask, n)`` rows
-        in ascending process-table order: ``mask`` marks the touched
-        entries of the ``protected`` snapshot (it is consumed -- inverted
-        in place), ``cache`` is the :class:`FaultCache` that snapshot
-        was split by, and ``n`` its accesses this quantum.  Shared by the
-        one-segment sampler (one row) and the aggregate draw (many
-        rows): one resolve, one kernel account, one policy hook.
+        ``segs`` are the touched segments in ascending (process-table)
+        order, ``protected[j]`` the protected snapshot segment
+        ``segs[j]``'s draw used, and ``mask`` marks the touched entries
+        of the concatenated snapshots (every segment has at least one;
+        the mask is consumed -- inverted in place).  Shared by the
+        one-segment sampler and the aggregate draw: the touched pages
+        and the untouched remainders are cut per segment, the rates as
+        one vector expression over the touched pages, then one resolve,
+        one kernel account and one policy hook run for the whole fleet.
         """
-        processes = []
-        touched_vpns = []
-        remainders = []
-        probs = []
-        n_accesses = []
-        for process, protected, cache, mask, n in touched:
-            processes.append(process)
-            touched_vpns.append(protected[mask])
-            probs.append(cache.prot_p[mask])
+        if len(segs) == 1:
+            vpns = protected[0][mask]
             np.logical_not(mask, out=mask)
-            remainders.append(protected[mask])
-            n_accesses.append(n)
-        if len(probs) == 1:
-            rates = n_accesses[0] * probs[0] / quantum_ns
+            remainders = [protected[0][mask]]
+            cuts = [0, vpns.size]
+            gids = vpns + self.seg_starts[segs[0]]
+            rates = self._n[segs[0]] * self.concat_probs[gids] / quantum_ns
         else:
+            # Each segment's slice of the mask is a view: the touched
+            # pages and the untouched remainders are one gather each per
+            # segment, and no snapshot is copied whole.
+            bounds = list(accumulate(
+                (part.size for part in protected), initial=0
+            ))
+            touched = [
+                part[mask[bounds[j]:bounds[j + 1]]]
+                for j, part in enumerate(protected)
+            ]
+            np.logical_not(mask, out=mask)
+            remainders = [
+                part[mask[bounds[j]:bounds[j + 1]]]
+                for j, part in enumerate(protected)
+            ]
+            counts = [part.size for part in touched]
+            cuts = list(accumulate(counts, initial=0))
+            vpns = np.concatenate(touched)
+            gids = vpns + np.repeat(self.seg_starts[segs], counts)
             # Per element this is the per-process n * p / Q.
             rates = (
-                np.repeat(
-                    np.array(n_accesses, dtype=np.float64),
-                    [part.size for part in probs],
-                )
-                * np.concatenate(probs)
+                np.repeat(self._n[segs], counts)
+                * self.concat_probs[gids]
                 / quantum_ns
             )
-        fleet = resolve_hint_faults(
-            processes,
-            touched_vpns,
+        procs = self.processes
+        fleet = resolve_fleet_faults(
+            [procs[i] for i in segs],
+            cuts,
+            vpns,
             start_ns,
             quantum_ns,
             rates_per_ns=rates,
@@ -860,6 +897,7 @@ class ProcessArena:
         self,
         eligible: List[int],
         n_vec: np.ndarray,
+        n_list: List[float],
         faults: np.ndarray,
         start_ns: int,
         quantum_ns: int,
@@ -867,143 +905,112 @@ class ProcessArena:
         """One aggregate fault draw across all eligible segments.
 
         Active candidates: concatenate per-segment Bernoulli rates and
-        draw one uniform vector (``np.add.reduceat`` recovers the
-        per-segment touch counts).  Dormant tails: one
+        draw one uniform vector.  Dormant tails: one
         ``Poisson(sum_i n_i * dormant_mass_i)`` count, placed first into
         segments by inverse-CDF over the per-segment rates, then onto
         pages by each segment's dormant CDF -- exact by Poisson
         superposition and thinning.  Fault timestamps still come from
-        each process's own stream (``take_hint_faults``).
+        each process's own stream.  Beyond one identity check per
+        eligible segment, only stale segments (their split rebuilds)
+        and segments with hits pay per-segment work.
         """
-        procs = self.processes
-        rng = self.rng
-        entries = []  # (seg, proc, protected, cache)
-        rebuilds = []
+        pages_of = self._pages
+        refs = self.probs_refs
         seg_caches = self._fault_caches
+        rebuilds = []
         for i in eligible:
-            proc = procs[i]
-            pages = proc.pages
-            protected = pages.protected_pages()
-            if not protected.size:
-                continue
-            probs = self.probs_refs[i]
+            # An empty snapshot (protection flipped outside the
+            # protect paths) splits into an empty cache that draws
+            # nothing.
+            protected = pages_of[i].protected_pages()
             cache = seg_caches[i]
             if (
-                cache.fault_probs is not probs
-                or cache.fault_prot is not protected
+                cache.fault_prot is not protected
+                or cache.fault_probs is not refs[i]
             ):
-                rebuilds.append((cache, probs, protected, float(n_vec[i])))
-            entries.append((i, proc, protected, cache))
-        if not entries:
-            return
+                rebuilds.append((i, cache, refs[i], protected, n_list[i]))
         if rebuilds:
             self._rebuild_fault_caches(rebuilds)
-        masks: Dict[int, np.ndarray] = {}
-
-        def mask_for(entry) -> np.ndarray:
-            seg = entry[0]
-            mask = masks.get(seg)
-            if mask is None:
-                mask = entry[3].touched_mask
-                mask[:] = False
-                masks[seg] = mask
-            return mask
+        rng = self.rng
+        segs = np.array(eligible, dtype=np.int64)
+        n_seg = n_vec[segs]
+        # Touched positions as (entry, position-in-snapshot) pairs; an
+        # entry indexes ``eligible``.
+        owners = []
+        positions = []
 
         # Active head: one concatenated Bernoulli draw.
-        active_entries = [e for e in entries if e[3].active_p.size]
-        if active_entries:
-            lam_parts = [
-                n_vec[e[0]] * e[3].active_p for e in active_entries
-            ]
-            lam = (
-                np.concatenate(lam_parts)
-                if len(lam_parts) > 1
-                else lam_parts[0]
+        sizes = self._active_sizes[segs]
+        active = sizes.nonzero()[0]
+        if active.size:
+            heads = [seg_caches[eligible[j]] for j in active.tolist()]
+            sizes = sizes[active]
+            lam = np.repeat(n_seg[active], sizes) * np.concatenate(
+                [cache.active_p for cache in heads]
             )
-            touched = rng.random(lam.size) < -np.expm1(-lam)
-            sizes = np.array(
-                [part.size for part in lam_parts], dtype=np.int64
-            )
-            starts = np.zeros(sizes.size, dtype=np.int64)
-            np.cumsum(sizes[:-1], out=starts[1:])
-            counts = np.add.reduceat(touched, starts)
-            offset = 0
-            for entry, size, count in zip(
-                active_entries, sizes, counts
-            ):
-                if count:
-                    hits = np.flatnonzero(
-                        touched[offset : offset + size]
-                    )
-                    mask_for(entry)[entry[3].active_pos[hits]] = True
-                offset += int(size)
+            hits = (rng.random(lam.size) < -np.expm1(-lam)).nonzero()[0]
+            if hits.size:
+                bounds = np.zeros(active.size + 1, dtype=np.int64)
+                np.cumsum(sizes, out=bounds[1:])
+                head = np.searchsorted(bounds, hits, side="right") - 1
+                owners.append(active[head])
+                positions.append(np.concatenate(
+                    [cache.active_pos for cache in heads]
+                )[hits])
         # Dormant tail: one aggregate Poisson draw, two-level partition.
-        dormant_entries = [
-            e for e in entries if e[3].dormant_mass > 0.0
-        ]
-        if dormant_entries:
-            rates = np.array(
-                [
-                    n_vec[e[0]] * e[3].dormant_mass
-                    for e in dormant_entries
-                ],
-                dtype=np.float64,
-            )
+        masses = self._dormant_masses[segs]
+        dormant = (masses > 0.0).nonzero()[0]
+        if dormant.size:
+            rates = n_seg[dormant] * masses[dormant]
             total_rate = float(rates.sum())
             if total_rate > 0.0:
                 k = int(rng.poisson(total_rate))
                 if k:
                     cum = np.cumsum(rates)
                     draws = rng.random(k) * total_rate
-                    seg_pick = searchsorted_right(cum, draws)
-                    np.minimum(
-                        seg_pick, rates.size - 1, out=seg_pick
+                    pick = searchsorted_right(cum, draws)
+                    np.minimum(pick, rates.size - 1, out=pick)
+                    order = np.argsort(pick, kind="stable")
+                    pick = pick[order]
+                    # Conditioned on its segment band, a draw is uniform
+                    # on [0, rate_j); rescaling by n_j yields the
+                    # per-process uniform-on-[0, dormant_mass) placement
+                    # law.
+                    values = (
+                        (draws[order] - (cum - rates)[pick])
+                        / n_seg[dormant][pick]
                     )
-                    counts = np.bincount(
-                        seg_pick, minlength=rates.size
-                    )
-                    order = np.argsort(seg_pick, kind="stable")
-                    sorted_draws = draws[order]
-                    bounds = np.cumsum(counts)
-                    for j, entry in enumerate(dormant_entries):
-                        count = int(counts[j])
-                        if not count:
-                            continue
-                        hi = int(bounds[j])
-                        sel = sorted_draws[hi - count : hi]
-                        base = float(cum[j] - rates[j])
-                        # Conditioned on its segment band, a draw is
-                        # uniform on [0, rate_j); rescaling by n_j
-                        # yields the per-process uniform-on-
-                        # [0, dormant_mass) placement law.
-                        values = (sel - base) / float(
-                            n_vec[entry[0]]
-                        )
-                        cache = entry[3]
-                        hits = searchsorted_right(
-                            cache.dormant_cdf, values
-                        )
-                        np.minimum(
-                            hits,
-                            cache.dormant_cdf.size - 1,
-                            out=hits,
-                        )
-                        mask_for(entry)[
-                            cache.dormant_pos[hits]
-                        ] = True
+                    run_starts = np.flatnonzero(np.diff(pick)) + 1
+                    for lo, hi in zip(
+                        [0] + run_starts.tolist(),
+                        run_starts.tolist() + [pick.size],
+                    ):
+                        j = int(dormant[pick[lo]])
+                        cache = seg_caches[eligible[j]]
+                        cdf = cache.dormant_cdf
+                        placed = searchsorted_right(cdf, values[lo:hi])
+                        np.minimum(placed, cdf.size - 1, out=placed)
+                        owners.append(np.full(hi - lo, j, dtype=np.int64))
+                        positions.append(cache.dormant_pos[placed])
+        if not owners:
+            return
         # One fault window over every touched segment, in ascending
         # segment (process-table) order.
-        touched = [e for e in entries if e[0] in masks]
-        if touched:
-            fleet = self._fault_window(
-                [
-                    (proc, protected, cache, masks[i], float(n_vec[i]))
-                    for i, proc, protected, cache in touched
-                ],
-                start_ns,
-                quantum_ns,
-            )
-            faults[[e[0] for e in touched]] = fleet.counts()
+        owner = np.concatenate(owners)
+        touched = np.bincount(owner, minlength=segs.size).nonzero()[0]
+        touched_segs = segs[touched].tolist()
+        touched_prots = [pages_of[i].protected_pages() for i in touched_segs]
+        sizes = [part.size for part in touched_prots]
+        starts = np.zeros(touched.size, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        offsets = np.zeros(segs.size, dtype=np.int64)
+        offsets[touched] = starts
+        mask = np.zeros(sum(sizes), dtype=bool)
+        mask[offsets[owner] + np.concatenate(positions)] = True
+        fleet = self._fault_window(
+            touched_segs, touched_prots, mask, start_ns, quantum_ns
+        )
+        faults[touched_segs] = fleet.counts()
 
     # ------------------------------------------------------------------
     def _fold_latency(

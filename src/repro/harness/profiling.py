@@ -25,6 +25,10 @@ real (host) wall time of a run across the simulator's subsystems:
                      segment axis
 ``fault_partition``  arena stepping only: the aggregate fault draw
                      and its partition back to segments
+``dcsc_fold``        Chrono's DCSC fault-side collection (round-two
+                     histogram, round-one re-protection)
+``dcsc_probe``       Chrono's DCSC probe tick (stale-probe expiry,
+                     victim draws and protection)
 ===================  ==================================================
 
 Sections nest (a policy fault handler may migrate pages); the profiler

@@ -37,6 +37,37 @@ class CapacityError(MemoryError):
     """The fleet's working sets do not fit in the machine's free pages."""
 
 
+def fast_prefixes(
+    sizes: np.ndarray, headroom: int, chunk_pages: int
+) -> np.ndarray:
+    """Fast-tier pages per process under chunked round-robin placement.
+
+    Round ``r`` hands every process ``min(chunk_pages, pages left)``
+    pages in table order, each chunk on the fast tier while ``headroom``
+    lasts.  After ``r`` full rounds ``min(n_j, r * chunk_pages)`` pages
+    of process ``j`` are placed, all on the fast tier while their total
+    fits the headroom; the round in which the headroom runs out splits
+    it across the processes in order, and later rounds are slow.
+    """
+    headroom = max(int(headroom), 0)
+    if headroom >= int(sizes.sum()):
+        return sizes.copy()
+    # The last round r whose placements all fit: bisect on r.
+    low = 0
+    high = -(-int(sizes.max(initial=0)) // chunk_pages)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if int(np.minimum(sizes, mid * chunk_pages).sum()) <= headroom:
+            low = mid
+        else:
+            high = mid - 1
+    placed = np.minimum(sizes, low * chunk_pages)
+    take = np.minimum(sizes - placed, chunk_pages)
+    left = headroom - int(placed.sum())
+    before = np.cumsum(take) - take
+    return placed + np.clip(left - before, 0, take)
+
+
 class Kernel:
     """Simulated kernel: machine + MM subsystems + process table."""
 
@@ -123,32 +154,37 @@ class Kernel:
         the fast tier while it has headroom above the high watermark, then
         spill to the slow tier.  Chunked round-robin interleaves the
         processes so each gets a proportional share of DRAM.
+
+        The headroom only shrinks and each process takes its chunks in
+        vpn order, so every process's fast pages are a prefix of its
+        address space; the prefixes come out of one closed-form pass
+        (:func:`fast_prefixes`) and each process takes at most two
+        placement moves.
         """
         if chunk_pages <= 0:
             raise ValueError("chunk size must be positive")
         fast = self.machine.fast
         slow = self.machine.slow
-        cursors = [0] * len(self.processes)
-        remaining = sum(p.n_pages for p in self.processes)
-        if remaining > fast.free_pages + slow.free_pages:
+        sizes = np.array(
+            [p.n_pages for p in self.processes], dtype=np.int64
+        )
+        total = int(sizes.sum())
+        if total > fast.free_pages + slow.free_pages:
             raise CapacityError(
-                f"working sets ({remaining} pages) exceed machine capacity "
+                f"working sets ({total} pages) exceed machine capacity "
                 f"({fast.free_pages + slow.free_pages} free pages)"
             )
-        while remaining > 0:
-            for index, process in enumerate(self.processes):
-                if cursors[index] >= process.n_pages:
-                    continue
-                take = min(chunk_pages, process.n_pages - cursors[index])
-                headroom = fast.free_pages - self.watermarks.high_pages
-                n_fast = max(0, min(take, headroom))
-                fast.allocate(n_fast)
-                slow.allocate(take - n_fast)
-                vpns = np.arange(cursors[index], cursors[index] + take)
+        headroom = fast.free_pages - self.watermarks.high_pages
+        prefixes = fast_prefixes(sizes, headroom, chunk_pages)
+        n_fast_total = int(prefixes.sum())
+        fast.allocate(n_fast_total)
+        slow.allocate(total - n_fast_total)
+        for process, n_fast in zip(self.processes, prefixes.tolist()):
+            vpns = np.arange(process.n_pages)
+            if n_fast:
                 process.pages.move_to_tier(vpns[:n_fast], FAST_TIER)
+            if n_fast < process.n_pages:
                 process.pages.move_to_tier(vpns[n_fast:], SLOW_TIER)
-                cursors[index] += take
-                remaining -= take
 
     # ------------------------------------------------------------------
     # Policy plumbing
@@ -189,10 +225,11 @@ class Kernel:
         order = self.rng.get("kernel.aging").permutation(
             len(self.processes)
         )
+        processes = self.processes
         visit = [
-            self.processes[int(index)]
-            for index in order
-            if not self.processes[int(index)].finished
+            processes[index]
+            for index in order.tolist()
+            if not processes[index].finished
         ]
         # Batched fleet pass: one concatenated candidate mask + one RNG
         # draw instead of a per-process loop of tiny numpy calls.  The
@@ -201,38 +238,50 @@ class Kernel:
         # hooks fire afterwards in the same visiting order, which is
         # exactly equivalent as long as a hook does not mutate *another*
         # process's aging inputs or the shared ``kernel.lru`` RNG stream
-        # (true of every registered policy).
+        # (true of every registered policy).  A policy keeping the
+        # base-class no-op gets no hook calls at all.
         touched_list = self.lru.age_fleet(visit, now_ns)
+        hook = self._lru_age_hook()
         obs = self.obs
+        tracer = obs.tracer if obs is not None else None
+        unit_cost = AGING_PAGE_COST_NS * self.machine.spec.page_scale
+        stats = self.stats
         for process, touched in zip(visit, touched_list):
-            if obs is not None:
-                obs.inc("aging.passes")
+            if tracer is not None:
                 obs.emit(
                     "aging.pass",
                     now_ns,
                     pid=process.pid,
                     n_touched=int(np.count_nonzero(touched)),
                 )
-            cost = (
-                process.n_pages
-                * AGING_PAGE_COST_NS
-                * self.machine.spec.page_scale
-            )
+            cost = process.n_pages * unit_cost
             process.charge_kernel(cost)
-            self.stats.kernel_time_ns += cost
-            if self.policy is not None and hasattr(
-                self.policy, "on_lru_age"
-            ):
+            stats.kernel_time_ns += cost
+            if hook is not None:
                 if profiler is not None:
                     profiler.push("policy")
                 try:
-                    self.policy.on_lru_age(process, touched, now_ns)
+                    hook(process, touched, now_ns)
                 finally:
                     if profiler is not None:
                         profiler.pop()
+        if obs is not None and visit:
+            obs.inc("aging.passes", len(visit))
         if profiler is not None:
             profiler.pop()
         self._schedule_aging(now_ns + self.aging_period_ns)
+
+    def _lru_age_hook(self):
+        """The policy's ``on_lru_age`` binding, or ``None`` when there is
+        no policy or it keeps the base-class no-op."""
+        # Imported here: the policies package imports the kernel.
+        from repro.policies.base import TieringPolicy
+
+        policy = self.policy
+        hook = getattr(type(policy), "on_lru_age", None)
+        if hook is None or hook is TieringPolicy.on_lru_age:
+            return None
+        return policy.on_lru_age
 
     # ------------------------------------------------------------------
     # Time

@@ -18,10 +18,11 @@ probability ``1 - exp(-lam)``; hint faults always count as touches.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.vm.page_state import FleetPages
 from repro.vm.process import SimProcess
 
 
@@ -43,6 +44,11 @@ class LruLists:
         self._rng = rng
         self.fine_grained = bool(fine_grained)
         self._miss_counts: dict = {}
+        #: miss counters indexed by global page id of ``_miss_fleet_of``
+        #: (a :class:`~repro.vm.page_state.FleetPages`); the per-pid
+        #: arrays of the processes aged through it are views of it
+        self._miss_fleet: Optional[np.ndarray] = None
+        self._miss_fleet_of: Optional[FleetPages] = None
         self._last_age_ns: dict = {}
         # Preallocated per-process scratch: (uniform draws, touch
         # probabilities).  Aging runs every period for every process, so
@@ -179,80 +185,111 @@ class LruLists:
         consumes no RNG, so hoisting it before the single draw is
         stream-preserving.
 
-        The batched pass touches every per-process array once for
-        gather and once for scatter; the O(processes) Python loop of
-        small numpy calls collapses to one concatenated mask +
-        ``flatnonzero`` + ``expm1`` + compare.
+        The pass runs over the fleet's page store
+        (:class:`~repro.vm.page_state.FleetPages`; processes not yet in
+        one are adopted into a new one): candidates are global page ids
+        in visiting order, and the miss counters, list membership,
+        generations and accessed bits are written with one fancy index
+        each.  Per process only the window-count ledger is read and
+        reset.  The returned per-process touched masks are views of one
+        fleet mask.
 
         ``fine_grained`` mode interleaves exponential draws with the
         uniforms per process and falls back to the sequential loop.
-        Returns the per-process touched masks, in order.
         """
         processes = list(processes)
         if self.fine_grained or len(processes) <= 1:
             return [self.age_process(p, now_ns) for p in processes]
 
-        n = len(processes)
-        sizes = np.empty(n, dtype=np.int64)
+        members = [process.pages for process in processes]
+        fleet = FleetPages.common(members) or FleetPages(members)
+        misses = self._fleet_misses(fleet, processes)
         lams = []
-        accessed = []
-        active = []
-        for i, process in enumerate(processes):
-            pages = process.pages
+        for process in processes:
             self._last_age_ns[process.pid] = now_ns
-            sizes[i] = pages.n_pages
-            lams.append(pages.last_window_count)
-            accessed.append(pages.accessed)
-            active.append(pages.lru_active)
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
+            lams.append(process.pages.last_window_count)
+        lam = np.concatenate(lams)
+        # Global page id of every visited page, in visiting order.
+        sizes = [m.n_pages for m in members]
+        starts = np.zeros(len(members), dtype=np.int64)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        bases = np.array([m.fleet_base for m in members], dtype=np.int64)
+        page_ids = np.arange(lam.size, dtype=np.int64)
+        page_ids += np.repeat(bases - starts, sizes)
 
-        lam_cat = np.concatenate(lams)
-        acc_cat = np.concatenate(accessed)
-        cand = lam_cat > 0.0
-        cand |= acc_cat
-        cand |= np.concatenate(active)
-
-        global_idx = np.flatnonzero(cand)
-        owner = np.searchsorted(starts, global_idx, side="right") - 1
-        bounds = np.searchsorted(owner, np.arange(n + 1, dtype=np.int64))
+        accessed = fleet.accessed[page_ids]
+        active = fleet.lru_active[page_ids]
+        cand = lam > 0.0
+        cand |= accessed
+        cand |= active
+        n_cand = int(np.count_nonzero(cand))
+        if n_cand == lam.size:
+            cand_idx = slice(None)  # every page: skip the gathers
+        else:
+            cand_idx = cand.nonzero()[0]
+        ids = page_ids[cand_idx]
 
         # One draw for the whole fleet; per-process slices match the
         # sequential streams (dense processes are all-candidates, so
         # their slice length is n_pages exactly as the dense path draws).
-        draws = self._rng.random(global_idx.size)
-        prob = np.expm1(-lam_cat[global_idx])
+        # The large temporaries are computed in place and dropped once
+        # dead: this pass's transients set the run's peak memory.
+        prob = np.negative(lam[cand_idx])
+        del lam
+        np.expm1(prob, out=prob)
         np.negative(prob, out=prob)
-        touched_g = draws < prob
-        touched_g |= acc_cat[global_idx]
+        touched = self._rng.random(n_cand) < prob
+        del prob
+        touched |= accessed[cand_idx]
 
+        new_misses = misses[ids]
+        new_misses += 1
+        new_misses[touched] = 0
+        misses[ids] = new_misses
+        # Touched pages join the active list; missed pages past the
+        # hysteresis leave it (the two sets are disjoint).
+        new_active = active[cand_idx]
+        new_active |= touched
+        new_active &= new_misses < self.DEACTIVATE_AFTER
+        fleet.lru_active[ids] = new_active
+        hit_ids = ids[touched]
+        fleet.lru_gen[hit_ids] = now_ns
+        # Accessed bits and nonzero window counts live inside the
+        # candidate set by construction, so resetting them everywhere is
+        # the sparse reset.
+        fleet.accessed[ids] = False
+        touched_mask = np.zeros(fleet.accessed.size, dtype=bool)
+        touched_mask[hit_ids] = True
         results: List[np.ndarray] = []
-        for i, process in enumerate(processes):
-            pages = process.pages
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            idx = global_idx[lo:hi] - starts[i]
-            touched_sub = touched_g[lo:hi]
-            touched_idx = idx[touched_sub]
-            missed_idx = idx[~touched_sub]
-            misses = self._misses(process)
-            misses[touched_idx] = 0
-            misses[missed_idx] += 1
-            pages.lru_gen[touched_idx] = now_ns
-            pages.lru_active[touched_idx] = True
-            deactivate = missed_idx[
-                misses[missed_idx] >= self.DEACTIVATE_AFTER
-            ]
-            pages.lru_active[deactivate] = False
-            if idx.size == pages.n_pages:
-                pages.accessed[:] = False
-                pages.clear_window_counts()
-            else:
-                pages.accessed[idx] = False
-                pages.clear_window_counts(idx)
-            touched = np.zeros(pages.n_pages, dtype=bool)
-            touched[touched_idx] = True
-            results.append(touched)
+        for member in members:
+            member.clear_window_counts()
+            base = member.fleet_base
+            results.append(touched_mask[base:base + member.n_pages])
         return results
+
+    def _fleet_misses(
+        self, fleet: FleetPages, processes: Sequence[SimProcess]
+    ) -> np.ndarray:
+        """Miss counters indexed by ``fleet``'s global page ids.
+
+        Each process's counters move into the fleet array the first time
+        it is aged through ``fleet``, and its per-pid array becomes a view
+        of its slice.
+        """
+        if self._miss_fleet_of is not fleet:
+            self._miss_fleet_of = fleet
+            self._miss_fleet = np.zeros(fleet.accessed.size, dtype=np.int32)
+        array = self._miss_fleet
+        for process in processes:
+            current = self._miss_counts.get(process.pid)
+            if current is not None and current.base is array:
+                continue
+            base = process.pages.fleet_base
+            view = array[base:base + process.n_pages]
+            if current is not None:
+                view[:] = current
+            self._miss_counts[process.pid] = view
+        return array
 
     def coldest_pages(
         self,

@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.vm.page_state import FleetPages
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vm.process import SimProcess
 
@@ -95,11 +97,17 @@ class FleetFaultBatch:
     segment's writes land relative to its own processing (see
     :meth:`repro.policies.base.TieringPolicy.on_fault_fleet`).  Each
     segment's writes apply exactly once.
+
+    When every faulting process's pages are slices of one
+    :class:`~repro.vm.page_state.FleetPages` (the arena's fleet), the
+    batch carries that ``fleet`` and each row's global page id
+    (``ids``): gathers and the whole-batch page writes are then single
+    fancy indexes instead of one per segment.
     """
 
     __slots__ = (
         "processes", "bounds", "cuts", "vpns", "fault_ts_ns", "cit_ns",
-        "_remainders", "_pending", "_batches",
+        "fleet", "ids", "_remainders", "_pending", "_batches",
     )
 
     def __init__(
@@ -111,8 +119,12 @@ class FleetFaultBatch:
         cit_ns: Optional[np.ndarray],
         remainders: Optional[List[Optional[np.ndarray]]] = None,
         pending: bool = True,
+        fleet: Optional[FleetPages] = None,
+        ids: Optional[np.ndarray] = None,
     ) -> None:
         self.processes = list(processes)
+        self.fleet = fleet
+        self.ids = ids
         #: segment boundaries as a Python list (cheap scalar slicing)
         self.cuts: List[int] = (
             bounds.tolist() if isinstance(bounds, np.ndarray)
@@ -199,6 +211,8 @@ class FleetFaultBatch:
             self.fault_ts_ns[rows],
             self.cit_ns[rows],
             pending=False,
+            fleet=self.fleet,
+            ids=None if self.ids is None else self.ids[rows],
         )
 
     def gather(self, name: str, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -206,8 +220,11 @@ class FleetFaultBatch:
 
         Per-page state lives in each process's own
         :class:`~repro.vm.page_state.PageState`, so this costs one
-        fancy-index per visited segment.
+        fancy-index per visited segment, or one over the fleet's arrays.
         """
+        if self.ids is not None and name in FleetPages.FIELDS:
+            array = getattr(self.fleet, name)
+            return array[self.ids if rows is None else self.ids[rows]]
         procs = self.processes
         if rows is None:
             vpns = self.vpns
@@ -235,9 +252,25 @@ class FleetFaultBatch:
         protected-set split when the resolver was handed one) and sets
         their accessed bits -- the faulting access is an access.
         """
-        segments = range(len(self.processes)) if j is None else (j,)
         pending = self._pending
         cuts = self.cuts
+        remainders = self._remainders
+        if (
+            j is None
+            and self.ids is not None
+            and remainders is not None
+            and all(pending)
+            and all(r is not None for r in remainders)
+        ):
+            self.fleet.unprotect_resolved(
+                [process.pages for process in self.processes],
+                self.ids,
+                [cuts[k + 1] - cuts[k] for k in range(len(pending))],
+                remainders,
+            )
+            self._pending = [False] * len(pending)
+            return
+        segments = range(len(self.processes)) if j is None else (j,)
         for k in segments:
             if not pending[k]:
                 continue
@@ -278,6 +311,40 @@ def resolve_hint_faults(
 
     ``touched[j]`` holds the protected pages process ``j`` touched this
     quantum (non-empty; processes in ascending process-table order).
+    The per-process arrays are concatenated and handed to
+    :func:`resolve_fleet_faults`.
+    """
+    cuts = list(accumulate((t.size for t in touched), initial=0))
+    if len(touched) == 1:
+        vpns = np.asarray(touched[0]).astype(np.int64, copy=False)
+    else:
+        vpns = np.concatenate(touched).astype(np.int64, copy=False)
+    return resolve_fleet_faults(
+        processes,
+        cuts,
+        vpns,
+        quantum_start_ns,
+        quantum_len_ns,
+        rates_per_ns=rates_per_ns,
+        remainders=remainders,
+        rngs=rngs,
+    )
+
+
+def resolve_fleet_faults(
+    processes: Sequence["SimProcess"],
+    cuts: List[int],
+    vpns: np.ndarray,
+    quantum_start_ns: int,
+    quantum_len_ns: int,
+    rates_per_ns: Optional[np.ndarray] = None,
+    remainders: Optional[List[Optional[np.ndarray]]] = None,
+    rngs: Optional[Sequence[np.random.Generator]] = None,
+) -> FleetFaultBatch:
+    """Resolve one quantum's hint faults from concatenated touched pages.
+
+    Process ``processes[j]`` touched the protected pages
+    ``vpns[cuts[j]:cuts[j + 1]]`` (int64, each run non-empty).
     Each touched protected page faults exactly once -- on its *first*
     access of the quantum.  When ``rates_per_ns`` (the concatenated
     expected accesses per nanosecond of every touched page) is provided,
@@ -297,18 +364,13 @@ def resolve_hint_faults(
 
     ``remainders[j]``, when given, is the complementary (untouched)
     slice of the :meth:`~repro.vm.page_state.PageState.protected_pages`
-    snapshot ``touched[j]`` was cut from; it lets the unprotect skip its
-    membership search.  Page-state writes are left pending on the
-    returned batch (:meth:`FleetFaultBatch.write_pages`).
+    snapshot process ``j``'s pages were cut from; it lets the unprotect
+    skip its membership search.  Page-state writes are left pending on
+    the returned batch (:meth:`FleetFaultBatch.write_pages`).
     """
     if rngs is None:
         rngs = [process.rng for process in processes]
-    sizes = [t.size for t in touched]
-    cuts = list(accumulate(sizes, initial=0))
-    if len(touched) == 1:
-        vpns = np.asarray(touched[0]).astype(np.int64, copy=False)
-    else:
-        vpns = np.concatenate(touched).astype(np.int64, copy=False)
+    sizes = [cuts[j + 1] - cuts[j] for j in range(len(processes))]
 
     quantum_len_ns = max(quantum_len_ns, 1)
     if rates_per_ns is None:
@@ -335,8 +397,12 @@ def resolve_hint_faults(
         offsets = (-np.log1p(-u * scale) / rates).astype(np.int64)
         offsets = np.minimum(offsets, quantum_len_ns - 1)
     fault_ts = (quantum_start_ns + offsets).astype(np.int64, copy=False)
+    members = [process.pages for process in processes]
+    pages = FleetPages.common(members)
     fleet = FleetFaultBatch(
-        processes, cuts, vpns, fault_ts, None, remainders
+        processes, cuts, vpns, fault_ts, None, remainders,
+        fleet=pages,
+        ids=None if pages is None else FleetPages.ids(members, sizes, vpns),
     )
     scan_ts = fleet.gather("scan_ts_ns")
     fleet.cit_ns = np.where(

@@ -40,7 +40,7 @@ full O(pages) recount.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,6 +139,11 @@ class PageState:
         #: epoch of the journal's start state: entries cover the range
         #: ``(move_log_base, epoch]``
         self.move_log_base: int = 0
+        #: the :class:`FleetPages` whose slices the per-page fields are
+        #: (``None`` while the arrays are this instance's own), and this
+        #: process's first global page id in it
+        self.fleet: Optional["FleetPages"] = None
+        self.fleet_base: int = 0
 
     # ------------------------------------------------------------------
     # Deferred ground-truth accounting
@@ -458,3 +463,129 @@ class PageState:
             f"fast={self.count_in_tier(FAST_TIER)}, "
             f"protected={int(self.prot_none.sum())})"
         )
+
+
+class FleetPages:
+    """Fleet-indexed page state: one array per per-page field.
+
+    Adopting a fleet concatenates every member's per-page arrays in
+    order and rebinds each member's fields to views of its slice, so
+    per-process code keeps reading and writing ``pages.<field>`` while
+    fleet code reaches many processes' pages with one fancy index over
+    global ids (``fleet_base + vpn``).  A member adopted again by a
+    newer fleet moves its current values there.  The ground-truth
+    access counters stay per process (their ledger flushes and setters
+    are per process), as do the fields no fleet pass touches.
+    """
+
+    #: the per-page fields hot fleet passes read or write
+    FIELDS = (
+        "tier", "prot_none", "scan_ts_ns", "accessed", "probed", "demoted",
+        "lru_active", "lru_gen",
+    )
+
+    def __init__(self, members: List[PageState]) -> None:
+        #: member ``j`` owns global ids ``[bases[j], bases[j + 1])``
+        self.bases = np.zeros(len(members) + 1, dtype=np.int64)
+        np.cumsum([m.n_pages for m in members], out=self.bases[1:])
+        bases = self.bases.tolist()
+        # An empty fleet keeps the (empty) field arrays of a blank state.
+        sources = list(members) or [PageState(0)]
+        for name in self.FIELDS:
+            array = np.concatenate([getattr(m, name) for m in sources])
+            setattr(self, name, array)
+            for j, member in enumerate(members):
+                setattr(member, name, array[bases[j]:bases[j + 1]])
+        for j, member in enumerate(members):
+            member.fleet = self
+            member.fleet_base = bases[j]
+
+    @staticmethod
+    def common(members: Sequence[PageState]) -> Optional["FleetPages"]:
+        """The fleet every one of ``members`` belongs to, or ``None``."""
+        fleet = members[0].fleet if members else None
+        if fleet is None:
+            return None
+        for member in members:
+            if member.fleet is not fleet:
+                return None
+        return fleet
+
+    @staticmethod
+    def ids(
+        members: Sequence[PageState], counts: Sequence[int], vpns: np.ndarray
+    ) -> np.ndarray:
+        """Global ids of concatenated per-member ``vpns`` runs."""
+        if len(members) == 1:
+            return vpns + members[0].fleet_base
+        return vpns + np.repeat(
+            np.array([m.fleet_base for m in members], dtype=np.int64),
+            counts,
+        )
+
+    def unprotect_resolved(
+        self,
+        members: Sequence[PageState],
+        ids: np.ndarray,
+        counts: Sequence[int],
+        remainders: Sequence[np.ndarray],
+    ) -> None:
+        """:meth:`PageState.unprotect_resolved` plus the fault's
+        accessed bits for several members: member ``j`` faulted
+        ``counts[j]`` pages of ``ids`` and keeps ``remainders[j]``."""
+        self.prot_none[ids] = False
+        self.accessed[ids] = True
+        for member, count, remainder in zip(members, counts, remainders):
+            member.n_protected -= count
+            member._protected_vpns = remainder
+
+    def protect_sorted_at(
+        self,
+        members: Sequence[PageState],
+        ids: np.ndarray,
+        cuts: Sequence[int],
+        vpns: np.ndarray,
+        ts_ns: Any,
+    ) -> None:
+        """:meth:`PageState.protect_at` for several members: member
+        ``j`` protects ``vpns[cuts[j]:cuts[j + 1]]`` (sorted, unique,
+        non-empty) at ``ts_ns``.  The protected-set caches of the
+        members with newly protected pages merge in one pass over
+        ``(member, vpn)`` keys."""
+        fresh = ~self.prot_none[ids]
+        self.prot_none[ids] = True
+        self.scan_ts_ns[ids] = ts_ns
+        if len(members) == 1:
+            members[0].n_protected += int(np.count_nonzero(fresh))
+            members[0]._cache_protect(vpns[fresh])
+            return
+        counts = np.add.reduceat(fresh, cuts[:-1], dtype=np.int64)
+        changed = counts.nonzero()[0].tolist()
+        if not changed:
+            return
+        counts = counts.tolist()
+        stride = max(members[j].n_pages for j in changed) + 1
+        currents = [members[j]._protected_vpns for j in changed]
+        sizes = [current.size for current in currents]
+        adds = [counts[j] for j in changed]
+        ranks = np.arange(len(changed), dtype=np.int64) * stride
+        fresh_rank = np.zeros(len(members), dtype=np.int64)
+        fresh_rank[changed] = ranks
+        # Both key runs are sorted (member rank, then vpn): merge them
+        # the way ``_cache_protect`` merges one member's sets.
+        current = np.concatenate(currents) + np.repeat(ranks, sizes)
+        added = vpns[fresh] + np.repeat(fresh_rank, np.diff(cuts))[fresh]
+        slot = np.zeros(current.size + added.size, dtype=bool)
+        slot[np.searchsorted(current, added) + np.arange(added.size)] = True
+        keys = np.empty(slot.size, dtype=np.int64)
+        keys[slot] = added
+        keys[~slot] = current
+        bounds = np.zeros(len(changed) + 1, dtype=np.int64)
+        np.cumsum(np.add(sizes, adds), out=bounds[1:])
+        bounds = bounds.tolist()
+        for k, j in enumerate(changed):
+            member = members[j]
+            member.n_protected += adds[k]
+            member._protected_vpns = (
+                keys[bounds[k]:bounds[k + 1]] - k * stride
+            )

@@ -558,7 +558,9 @@ def compile_trace_file(
     if path.suffix == ".csv":
         return compile_event_stream(
             read_event_csv(path),
-            window_ns=window_ns or DEFAULT_WINDOW_NS,
+            window_ns=(
+                DEFAULT_WINDOW_NS if window_ns is None else window_ns
+            ),
             threshold=threshold,
             min_windows=min_windows,
             obs=obs,
@@ -586,7 +588,7 @@ def compile_trace_file(
     _require_keys(keys, EVENT_NPZ_KEYS)
     return compile_event_stream(
         [read_event_npz(path)],
-        window_ns=window_ns or DEFAULT_WINDOW_NS,
+        window_ns=DEFAULT_WINDOW_NS if window_ns is None else window_ns,
         threshold=threshold,
         min_windows=min_windows,
         obs=obs,

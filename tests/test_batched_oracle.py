@@ -425,14 +425,20 @@ class TestPolicyTransientOracle:
         assert batched_run.stats == sequential_run.stats
 
 
-def sequential_fault_window(arena, touched, start_ns, quantum_ns):
+def sequential_fault_window(
+    arena, segs, protected, mask, start_ns, quantum_ns
+):
     """The per-process fault window: resolve and deliver each touched
     process on its own, in order (the oracle for the fleet window)."""
     counts = []
-    for process, protected, cache, mask, n in touched:
-        touched_vpns = protected[mask]
-        rates = n * cache.prot_p[mask] / quantum_ns
-        np.logical_not(mask, out=mask)
+    offset = 0
+    for seg, snapshot in zip(segs, protected):
+        process = arena.processes[seg]
+        touched = mask[offset:offset + snapshot.size]
+        offset += snapshot.size
+        touched_vpns = snapshot[touched]
+        n = float(arena._n[seg])
+        rates = n * arena.probs_refs[seg][touched_vpns] / quantum_ns
         batch = take_hint_faults(
             process,
             touched_vpns,
@@ -440,7 +446,7 @@ def sequential_fault_window(arena, touched, start_ns, quantum_ns):
             quantum_ns,
             process.rng,
             rates_per_ns=rates,
-            cache_remainder=protected[mask],
+            cache_remainder=snapshot[~touched],
         )
         arena.kernel.deliver_faults(process, batch)
         counts.append(batch.n_faults)

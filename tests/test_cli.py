@@ -65,6 +65,18 @@ class TestInputValidation:
             ["run", "--no-fusion"],
             ["tournament", "--no-fusion"],
             ["replay", "trace.npz", "--no-fusion"],
+            ["run", "--fast-pages", "0"],
+            ["run", "--slow-pages", "0"],
+            ["run", "--page-scale", "0"],
+            ["run", "--rw-ratio", "1.5"],
+            ["traffic", "--base-delay-units", "-5"],
+            ["run", "--workload", "multitenant", "--distinct-tables", "0"],
+            ["run", "--workload", "multitenant", "--delay-step-units", "-1"],
+            ["tournament", "--fast-pages", "0"],
+            ["replay", "trace.npz", "--delay-units", "-3"],
+            ["replay", "trace.npz", "--window-ms", "0"],
+            ["replay", "trace.npz", "--window-ms", "1e-9"],
+            ["replay", "trace.npz", "--page-scale", "0"],
         ],
     )
     def test_one_line_error_exit_2(self, argv, capsys):

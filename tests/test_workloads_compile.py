@@ -230,6 +230,12 @@ class TestTraceFiles:
         assert compiled.n_events == 100
         assert compiled.n_pages == 4
 
+    def test_zero_window_is_rejected_not_defaulted(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("0,0,1,0\n5,0,2,0\n")
+        with pytest.raises(ValueError):
+            compile_trace_file(path, window_ns=0)
+
     def test_checked_in_fixtures_compile(self):
         import pathlib
 
